@@ -21,7 +21,6 @@ from .lorentz import (
     gl_reduce,
     gl_to_cpsd,
     lorentz_embed,
-    lorentz_member,
 )
 from .cpsdrank import (
     BoundReport,

@@ -14,17 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded
-from .matcore import PSD_TOL, RANK_TOL, gram_vectors, spectral
+from .matcore import PSD_TOL, RANK_TOL, _freeze, _square, gram_vectors, spectral
 from .lorentz import GramLorentzFactorization, LorentzVector
 
 OUTCOMES = (1, -1)
 
 EXP_FAMILY_CAP = 13  # keeps the associated embeddings within the generator size cap
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,9 +223,7 @@ def behavior_matrix_factorization(C, U=None, tol: float = 1e-8) -> GramLorentzFa
 
 def elliptope_member(X: np.ndarray, psd_tol: float = PSD_TOL, diag_tol: float = 1e-9) -> bool:
     """Symmetric psd with unit diagonal, up to tolerance."""
-    a = np.asarray(X, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
+    a = _square(X)
     if np.abs(a - a.T).max() > 1e-10:
         return False
     if np.abs(np.diag(a) - 1.0).max() > diag_tol:

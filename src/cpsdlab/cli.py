@@ -263,7 +263,6 @@ def _cmd_behavior(args) -> CommandResult:
 
 def _cmd_graph(args) -> CommandResult:
     G = jsonio.graph_from_json(_read_json(args.input))
-    # --cap controls generator sizes, not the graph-search vertex cap
     ok, witness = separations.is_cpsd_graph(G)
     payload = {"cpsd": ok, "witness": list(witness) if witness else None}
     return CommandResult("ok", payload, ["odd-cycle-subgraph-test"])

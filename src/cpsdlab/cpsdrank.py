@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded
-from .matcore import PSD_TOL, RANK_TOL, HermMatrix, gram_vectors, spectral
+from .matcore import PSD_TOL, RANK_TOL, HermMatrix, _square, gram_vectors, spectral
 
 HADAMARD_ENTRY_CAP = 20
 
@@ -90,9 +90,7 @@ def ceil_snapped(value: float, snap: float = 1e-9) -> int:
 
 def verify_factorization(X: np.ndarray, f: CpsdFactorization, tol: float = 1e-8) -> VerifyReport:
     """Check max_ij |X_ij - Tr(P_i P_j)| <= tol and that every factor is psd."""
-    a = np.asarray(X, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("target matrix must be square")
+    a = _square(X)
     if a.shape[0] != f.n:
         raise ValueError(f"target size {a.shape[0]} does not match factor count {f.n}")
     residual = float(np.abs(a - f.gram()).max())
@@ -102,9 +100,7 @@ def verify_factorization(X: np.ndarray, f: CpsdFactorization, tol: float = 1e-8)
 
 
 def _check_nonnegative(X: np.ndarray) -> np.ndarray:
-    a = np.asarray(X, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
+    a = _square(X)
     if a.min() < 0:
         raise ValueError(f"matrix has a negative entry: {a.min():.3e}")
     return a
@@ -348,8 +344,8 @@ def bound_report(X: np.ndarray, scale_search: bool = False, iters: int = 100,
                  upper: int | None = None,
                  upper_provenance: str | None = None) -> BoundReport:
     """Assemble the certified lower bounds (and optional upper bound) for X."""
-    a = np.asarray(X, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or np.abs(a - a.T).max() > 1e-10:
+    a = _square(X)
+    if np.abs(a - a.T).max() > 1e-10:
         raise ValueError("bounds need a square symmetric matrix")
     analytic = scaled_analytic_bound(X, iters=iters) if scale_search else analytic_lower_bound(X)
     rank_b = rank_lower_bound(X)

@@ -27,7 +27,7 @@ import numpy as np
 from .bell import Behavior
 from .cpsdrank import BoundReport, CpsdFactorization, VerifyReport
 from .lorentz import GramLorentzFactorization, LorentzVector
-from .matcore import HermMatrix
+from .matcore import HermMatrix, _square
 from .quantum import MAX_ENTANGLED, QuantumRepresentation
 from .separations import Graph, NotCpCertificate, NotVnaCertificate
 
@@ -90,9 +90,7 @@ def matrix_to_json(M) -> dict:
     if isinstance(M, HermMatrix):
         flat = [[float(z.real), float(z.imag)] for z in M.entries.ravel()]
         return {"n": M.n, "complex": True, "entries": flat}
-    a = np.asarray(M, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix serialization requires a square matrix")
+    a = _square(M)
     return {"n": int(a.shape[0]), "complex": False,
             "entries": [float(v) for v in a.ravel()]}
 

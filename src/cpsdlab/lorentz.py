@@ -26,14 +26,9 @@ import numpy as np
 
 from .clifford import SIZE_CAP, clifford_basis, gamma
 from .cpsdrank import CpsdFactorization
-from .matcore import RANK_TOL, HermMatrix, gram_vectors
+from .matcore import RANK_TOL, HermMatrix, _freeze, gram_vectors
 
 MEMBER_TOL = 1e-10
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,11 +89,6 @@ class GramLorentzFactorization:
     @property
     def m(self) -> int:
         return self.vectors[0].m
-
-
-def lorentz_member(v: LorentzVector) -> bool:
-    """c >= |x| up to the boundary tolerance."""
-    return v.is_member
 
 
 def lorentz_embed(v: LorentzVector, cap: int = SIZE_CAP) -> HermMatrix:

@@ -25,6 +25,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _square(X, dtype=float) -> np.ndarray:
+    """X as a two-dimensional square array; raises ValueError otherwise."""
+    a = np.asarray(X, dtype=dtype)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class HermMatrix:
     """Square complex Hermitian matrix.
@@ -38,9 +46,7 @@ class HermMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        a = _square(self.entries, complex)
         if a.shape[0] == 0:
             raise ValueError("empty matrix")
         asym = np.abs(a - a.conj().T).max()
@@ -161,9 +167,7 @@ def gram_vectors(X: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     r is the numerical rank of X; eigenvalues at or below the rank cut are
     truncated, so the reconstruction error is bounded by the cut.
     """
-    a = np.asarray(X, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
+    a = _square(X)
     w, Q = np.linalg.eigh((a + a.T) / 2)
     scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
     keep = w > rank_tol * scale

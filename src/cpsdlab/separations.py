@@ -5,20 +5,24 @@ matrices always factor through psd factors.
 The certificates are finite lists of linear-algebraic conditions with
 explicit residuals; a valid certificate is the machine-checkable part of the
 separation argument, serialized with its residuals for audit.
+
+The graph test reads the answer off the block structure: a graph has no odd
+cycle of length >= 5 iff every block is bipartite, has at most 4 vertices,
+or is a book K_{1,1,m}. It runs in near-linear time with no vertex cap, and a
+failing graph gets an odd-cycle witness rotated to start at its least
+vertex, followed by the lesser of that vertex's two cycle neighbors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded
 from .lorentz import GramLorentzFactorization, LorentzVector
-from .matcore import spectral
-
-GRAPH_CAP = 24
+from .matcore import _square, spectral
 
 
 @dataclass(frozen=True)
@@ -180,9 +184,7 @@ def check_not_vna(X: np.ndarray, I, J, i_star: int, j_star: int,
     directly off the matrix entries, and non-parallelism of the pivots is the
     strict 2 x 2 determinant, i.e. strictness in Cauchy-Schwarz.
     """
-    a = np.asarray(X, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
+    a = _square(X)
     n = a.shape[0]
     if np.abs(a - a.T).max() > 1e-10:
         raise ValueError("matrix must be symmetric")
@@ -248,9 +250,7 @@ def odd_cycle_index_sets(t: int) -> tuple[list[int], list[int], int, int]:
 
 def support_graph(X: np.ndarray, tol: float = 1e-10) -> Graph:
     """Graph with an edge wherever an off-diagonal entry is nonzero (above tol)."""
-    a = np.asarray(X, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
+    a = _square(X)
     if np.abs(a - a.T).max() > 1e-10:
         raise ValueError("matrix must be symmetric")
     n = a.shape[0]
@@ -258,152 +258,148 @@ def support_graph(X: np.ndarray, tol: float = 1e-10) -> Graph:
     return Graph(n=n, edges=frozenset(edges))
 
 
-def _two_color(adj: list[list[int]], comp: list[int]) -> bool:
-    color = {comp[0]: 0}
-    queue = [comp[0]]
-    while queue:
-        u = queue.pop()
-        for v in adj[u]:
-            if v not in color:
-                color[v] = 1 - color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                return False
-    return True
-
-
-def _components(adj: list[list[int]], n: int) -> list[list[int]]:
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
+def _blocks(adj: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """Edge lists of the biconnected components (Hopcroft-Tarjan), by an
+    iterative depth-first search so that long paths hit no recursion limit."""
+    disc, low = [-1] * len(adj), [0] * len(adj)
+    blocks: list[list[tuple[int, int]]] = []
+    edges: list[tuple[int, int]] = []
+    clock = 0
+    for root in range(len(adj)):
+        if disc[root] >= 0:
             continue
-        stack, comp = [s], []
-        seen[s] = True
+        disc[root] = low[root] = clock
+        clock += 1
+        # frame: vertex, its tree parent, unread neighbors, edge-stack mark
+        stack = [(root, -1, iter(adj[root]), 0)]
         while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _two_color_induced(adj: list[list[int]], verts: set[int]) -> bool:
-    color: dict[int, int] = {}
-    for s in sorted(verts):
-        if s in color:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in verts:
-                    continue
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
-
-
-def _blocks(adj: list[list[int]], comp: list[int]) -> list[set[int]]:
-    """Biconnected components (as vertex sets) of one connected component."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    blocks: list[set[int]] = []
-    edge_stack: list[tuple[int, int]] = []
-    timer = [0]
-
-    def dfs(u: int, parent: int) -> None:
-        disc[u] = low[u] = timer[0]
-        timer[0] += 1
-        for v in adj[u]:
-            if v == parent:
-                continue
-            if v not in disc:
-                edge_stack.append((u, v))
-                dfs(v, u)
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    block = set()
-                    while True:
-                        e = edge_stack.pop()
-                        block.update(e)
-                        if e == (u, v):
-                            break
-                    blocks.append(block)
-            elif disc[v] < disc[u]:
-                edge_stack.append((u, v))
-                low[u] = min(low[u], disc[v])
-
-    dfs(comp[0], -1)
+            u, parent, todo, mark = stack[-1]
+            for v in todo:
+                if disc[v] < 0:
+                    stack.append((v, u, iter(adj[v]), len(edges)))
+                    edges.append((u, v))
+                    disc[v] = low[v] = clock
+                    clock += 1
+                    break
+                if v != parent and disc[v] < disc[u]:
+                    edges.append((u, v))
+                    low[u] = min(low[u], disc[v])
+            else:
+                stack.pop()
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[u])
+                    if low[u] >= disc[parent]:
+                        blocks.append(edges[mark:])
+                        del edges[mark:]
     return blocks
 
 
-def _odd_cycle_in_block(adj: list[list[int]], block: set[int]):
-    """First odd cycle of length >= 5 inside one block, exploring start
-    vertices and neighbors in ascending order; None if there is none."""
-    for start in sorted(block):
-        path = [start]
-        on_path = {start}
+def _bfs(nbr: dict, root: int, banned=()) -> dict:
+    """Breadth-first tree from root avoiding banned vertices: each reached
+    vertex maps to its parent (the root to itself), in visit order."""
+    parent, queue = {root: root}, [root]
+    for u in queue:
+        for v in nbr[u]:
+            if v not in parent and v not in banned:
+                parent[v] = u
+                queue.append(v)
+    return parent
 
-        def extend():
-            u = path[-1]
-            for v in adj[u]:
-                if v not in block or v < start:
-                    continue
-                if v == start:
-                    if len(path) >= 5 and len(path) % 2 == 1:
-                        return list(path)
-                    continue
-                if v in on_path:
-                    continue
-                path.append(v)
-                on_path.add(v)
-                found = extend()
-                if found is not None:
-                    return found
-                on_path.discard(v)
-                path.pop()
-            return None
 
-        hit = extend()
-        if hit is not None:
-            return hit
+def _to_root(parent: dict, v: int) -> list[int]:
+    path = [v]
+    while parent[path[-1]] != path[-1]:
+        path.append(parent[path[-1]])
+    return path
+
+
+def _odd_cycle(nbr: dict, root: int):
+    """Two-color a connected graph breadth-first; an odd cycle, or None if
+    the graph is bipartite."""
+    parent = _bfs(nbr, root)
+    depth = {root: 0}
+    for v, p in parent.items():
+        depth.setdefault(v, depth[p] + 1)
+    for u in parent:
+        for v in nbr[u]:
+            if depth[v] == depth[u]:
+                a, b = _to_root(parent, u), _to_root(parent, v)
+                k = next(i for i, (x, y) in enumerate(zip(a, b)) if x == y)
+                return a[:k + 1] + b[k - 1::-1]
     return None
 
 
-def is_cpsd_graph(G: Graph, cap: int = GRAPH_CAP):
+def _beyond_triangle(nbr: dict, tri: list[int]):
+    """An odd cycle of length >= 5 in a block (2-connected, >= 5 vertices)
+    that contains the triangle tri, or None if the block is a book K_{1,1,m}.
+
+    Proof of the case split, with B the block and T the triangle. If a
+    component C of B - T has two or more vertices, at least two vertices of
+    C touch T (else one vertex would cut C off) and their neighbors in T are
+    not all one vertex x (else x would be a cut vertex). So some u != w in C
+    and x != y in T have u ~ x and w ~ y, and a path u..w in C gives an ear
+    x, u, .., w, y of length l >= 3. The ear closes into an odd cycle of
+    length l + 1 over the edge xy or l + 2 over the third vertex of T.
+    Otherwise B - T is an independent set, and each of its vertices touches
+    2 or 3 vertices of T. Two of them, v and w, close the 5-cycle
+    v, t1, w, t2, t3 when T = {t1, t2, t3} with t1 ~ v, w and t2 ~ w and
+    t3 ~ v. Such labels exist unless v and w touch the same pair of T. So if
+    no two close a 5-cycle, every vertex outside T touches one pair {a, b},
+    and B is the book with spine ab, whose cycles have length at most 4.
+    """
+    T = set(tri)
+    touch = {v: [t for t in nbr[v] if t in T] for v in nbr if v not in T}
+    seen: set[int] = set()
+    for u in touch:
+        if u in seen or not touch[u]:
+            continue
+        parent = _bfs(nbr, u, T)
+        seen.update(parent)
+        for w in parent:
+            for x, y in itertools.product(touch[u], touch[w]):
+                if w != u and x != y:
+                    ear = [x, *reversed(_to_root(parent, w)), y]
+                    return ear if len(ear) % 2 else ear + list(T - {x, y})
+    v, *rest = touch
+    for w in rest:
+        for t1, t2, t3 in itertools.product(touch[v], touch[w], touch[v]):
+            if t1 in touch[w] and len({t1, t2, t3}) == 3:
+                return [v, t1, w, t2, t3]
+    return None
+
+
+def _canonical(cycle: list[int]) -> list[int]:
+    """Rotate a cycle to start at its least vertex, then its lesser neighbor."""
+    i = cycle.index(min(cycle))
+    c = cycle[i:] + cycle[:i]
+    return c if c[1] < c[-1] else [c[0], *reversed(c[1:])]
+
+
+def is_cpsd_graph(G: Graph):
     """Whether every doubly nonnegative matrix supported on G factors through
     psd factors; equivalently, whether G has no odd cycle of length >= 5 as a
     subgraph.
 
-    Returns (True, None) or (False, witness_cycle). Bipartite components and
-    blocks are skipped outright (no odd cycles at all); the remaining search
-    enumerates simple cycles per biconnected block with vertices explored in
-    ascending order, so the witness is deterministic: the first odd cycle of
-    length at least five found by that order. Worst-case exponential in the
-    block size, hence the vertex cap.
+    Returns (True, None) or (False, witness_cycle). A graph passes iff each
+    of its blocks (biconnected components) is bipartite, has at most 4
+    vertices, or is a book K_{1,1,m} (Kogan and Berman, Discrete Math.
+    1993). Each block of >= 5 vertices is two-colored breadth-first from its
+    least vertex; an odd cycle of length >= 5 found there is the witness,
+    and a triangle is settled by `_beyond_triangle`. Time is linear in the
+    size of G after sorting neighbor lists, and there is no vertex cap. The witness is deterministic and
+    rotated to start at its least vertex, followed by the lesser of that
+    vertex's two cycle neighbors.
     """
-    if G.n > cap:
-        raise CapExceeded(f"graph has {G.n} vertices, cap is {cap}")
-    adj = G.neighbor_lists()
-    for comp in _components(adj, G.n):
-        if len(comp) < 5:
+    for edges in _blocks(G.neighbor_lists()):
+        nbr: dict[int, list[int]] = {}
+        for u, v in edges:
+            nbr.setdefault(u, []).append(v)
+            nbr.setdefault(v, []).append(u)
+        if len(nbr) < 5:
             continue
-        if _two_color(adj, comp):
-            continue
-        for block in sorted(_blocks(adj, comp), key=sorted):
-            if len(block) < 5:
-                continue
-            if _two_color_induced(adj, block):
-                continue
-            hit = _odd_cycle_in_block(adj, block)
-            if hit is not None:
-                return False, hit
+        cycle = _odd_cycle(nbr, min(nbr))
+        if cycle is not None and len(cycle) == 3:
+            cycle = _beyond_triangle(nbr, cycle)
+        if cycle is not None:
+            return False, _canonical(cycle)
     return True, None

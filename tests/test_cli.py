@@ -319,9 +319,11 @@ class TestGraphCommand:
         assert code == 0 and json.loads(out)["payload"]["cpsd"] is True
 
     def test_cap_exceeded_exit_code(self, capsys, tmp_path):
-        g = Graph.from_edges(30, [])
-        path = write_json(tmp_path, "g.json", jsonio.graph_to_json(g))
-        code, _, err = run_cli(capsys, "graph", path)
+        # graph has no vertex cap; exit code 3 is checked on factorize's
+        # generator size cap (4 vectors need generators of size 2^2)
+        vectors = [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 1, 0], [1, 0, 0, 0, 1]]
+        path = write_json(tmp_path, "v.json", {"m": 5, "vectors": vectors})
+        code, _, err = run_cli(capsys, "factorize", path, "--cap", "2")
         assert code == 3
         assert json.loads(err)["status"] == "cap-exceeded"
 

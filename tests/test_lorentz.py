@@ -16,7 +16,6 @@ from cpsdlab.lorentz import (
     gl_reduce,
     gl_to_cpsd,
     lorentz_embed,
-    lorentz_member,
 )
 from cpsdlab.matcore import spectral, trace_inner
 
@@ -36,14 +35,14 @@ def random_gl_family(rng, n, m):
 
 class TestMembership:
     def test_axis(self):
-        assert lorentz_member(vec(1, 0, 0))
+        assert vec(1, 0, 0).is_member
 
     def test_boundary_circle(self):
         th = 0.7
-        assert lorentz_member(vec(1, math.cos(th), math.sin(th)))
+        assert vec(1, math.cos(th), math.sin(th)).is_member
 
     def test_outside(self):
-        assert not lorentz_member(vec(1, 1.1, 0))
+        assert not vec(1, 1.1, 0).is_member
 
 
 class TestEmbed:
@@ -81,7 +80,7 @@ class TestEmbed:
             offset = rng.choice([-1, 1]) * 10.0 ** rng.uniform(-7, -0.5)
             v = LorentzVector(np.linalg.norm(x) + offset, x)
             assert spectral(lorentz_embed(v)).is_psd == (offset > 0)
-            assert lorentz_member(v) == (offset > 0)
+            assert v.is_member == (offset > 0)
 
 
 class TestGlMatrix:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle_graph_edges, has_long_odd_cycle_oracle, make_rng
-from cpsdlab.errors import CapExceeded
 from cpsdlab.lorentz import gl_matrix
 from cpsdlab.matcore import spectral
 from cpsdlab.separations import (
@@ -26,6 +27,22 @@ def cycle_graph(n):
 
 def complete_graph(n):
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def book_graph(pages):
+    """K_{1,1,pages}: triangles over the shared spine (0, 1)."""
+    edges = [(0, 1)] + [(s, 2 + k) for k in range(pages) for s in (0, 1)]
+    return Graph.from_edges(2 + pages, edges)
+
+
+def assert_canonical_odd_cycle(g, witness):
+    """An odd cycle of length >= 5 in g, starting at its least vertex and
+    continuing to the lesser of that vertex's cycle neighbors."""
+    assert len(witness) >= 5 and len(witness) % 2 == 1
+    assert len(set(witness)) == len(witness)
+    assert witness[0] == min(witness) and witness[1] < witness[-1]
+    for a, b in zip(witness, witness[1:] + witness[:1]):
+        assert g.has_edge(a, b)
 
 
 class TestGraphType:
@@ -209,9 +226,61 @@ class TestIsCpsdGraph:
         assert not ok
         assert len(witness) == 5 and len(witness) % 2 == 1
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            is_cpsd_graph(Graph.from_edges(25, []))
+    def test_graphs_far_past_the_old_vertex_cap(self):
+        ok, witness = is_cpsd_graph(cycle_graph(5001))
+        assert not ok and witness == list(range(5001))
+        path = Graph.from_edges(10000, [(i, i + 1) for i in range(9999)])
+        assert is_cpsd_graph(path) == (True, None)
+        assert is_cpsd_graph(book_graph(2000)) == (True, None)
+
+    @pytest.mark.parametrize("salt", range(4))
+    def test_glued_blocks_against_oracle(self, salt):
+        # books, K4s and even cycles glued at cut vertices pass; one extra
+        # edge may merge blocks into one with a long odd cycle
+        rng = make_rng(2000 + salt)
+        for trial in range(150):
+            n, edges = 1, []
+            while True:
+                kind = int(rng.integers(3))
+                if kind == 0:
+                    piece = book_graph(int(rng.integers(1, 4)))
+                elif kind == 1:
+                    piece = complete_graph(4)
+                else:
+                    piece = cycle_graph(2 * int(rng.integers(2, 5)))
+                if n + piece.n - 1 > 12:
+                    break
+                glue = int(rng.integers(n))
+                relabel = {0: glue, **{k: n + k - 1 for k in range(1, piece.n)}}
+                edges += [(relabel[u], relabel[v]) for u, v in piece.edges]
+                n += piece.n - 1
+            if trial % 2:
+                u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+                edges.append((u, v))
+            g = Graph.from_edges(n, edges)
+            ours, witness = is_cpsd_graph(g)
+            oracle, _ = has_long_odd_cycle_oracle(g)
+            assert ours == (not oracle)
+            assert ours or trial % 2
+            if witness is not None:
+                assert_canonical_odd_cycle(g, witness)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_relabelling_keeps_verdict(self, data):
+        n = data.draw(st.integers(1, 10))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        perm = data.draw(st.permutations(range(n)))
+        edges = [e for e, k in zip(pairs, keep) if k]
+        g = Graph.from_edges(n, edges)
+        h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+        (ok_g, witness_g), (ok_h, witness_h) = is_cpsd_graph(g), is_cpsd_graph(h)
+        assert ok_g == ok_h
+        for graph, witness in ((g, witness_g), (h, witness_h)):
+            assert (witness is None) == ok_g
+            if witness is not None:
+                assert_canonical_odd_cycle(graph, witness)
 
     @pytest.mark.parametrize("salt", range(6))
     def test_agreement_with_enumeration_oracle(self, salt):
