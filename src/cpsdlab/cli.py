@@ -277,13 +277,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for completely positive semidefinite matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="verification tolerance (default 1e-8)")
-        p.add_argument("--cap", type=int, default=SIZE_CAP,
-                       help="size cap for generator constructions")
+    def common(p: argparse.ArgumentParser, tol: bool = False, cap: bool = False) -> None:
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-8,
+                           help="verification tolerance (default 1e-8)")
+        if cap:
+            p.add_argument("--cap", type=int, default=SIZE_CAP,
+                           help="size cap for generator constructions")
         p.add_argument("--out", default=None, help="write output JSON here")
-        p.add_argument("--format", choices=["json"], default="json")
 
     g = sub.add_parser("generate", help="emit one of the named matrix families")
     g.add_argument("kind", choices=["elliptope-extreme", "exp-family", "cycle-sep",
@@ -297,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("factorize", help="psd-factorize a cone-vector family "
                                          "or a 2x2 doubly nonnegative matrix")
     f.add_argument("input")
-    common(f)
+    common(f, tol=True, cap=True)
     f.set_defaults(handler=_cmd_factorize)
 
     b = sub.add_parser("bound", help="certified factor-size bounds for a matrix")
@@ -308,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="treat input as a graph and emit the support witness")
     b.add_argument("--verify", default=None,
                    help="factorization JSON to verify and attach as upper bound")
-    common(b)
+    common(b, tol=True)
     b.set_defaults(handler=_cmd_bound)
 
     be = sub.add_parser("behavior", help="unbiased behavior of a correlation matrix")
@@ -317,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="cross-check through the quantum simulation path")
     be.add_argument("--validate", action="store_true",
                     help="check the affine-section normalization of the Gram matrix")
-    common(be)
+    common(be, tol=True, cap=True)
     be.set_defaults(handler=_cmd_behavior)
 
     gr = sub.add_parser("graph", help="decide the odd-cycle support property")
@@ -338,7 +339,7 @@ def _fail(status: str, message: str, code: int, extra: dict | None = None) -> in
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.cap < 1:
+    if getattr(args, "cap", SIZE_CAP) < 1:
         return _fail("invalid-input", "--cap must be positive", EXIT_INVALID_INPUT)
     try:
         result = args.handler(args)

@@ -1,10 +1,11 @@
-"""Stable JSON encodings for every value the command-line surface exchanges.
+"""JSON encodings for every value the command-line surface exchanges.
 
-Floats are emitted with 17 significant digits (lossless round-trip for
-doubles) through a small recursive emitter, because the stdlib encoder's
-shortest-repr floats are not byte-stable across representations we care to
-pin. Dict key order is insertion order, so identical inputs produce
-byte-identical output.
+Encoding is the standard library's: floats are written as their shortest
+round-trip text (``repr``), which parses back bit-identical, and dict key
+order is insertion order, so identical inputs produce byte-identical output.
+Numpy arrays and scalars are converted to lists and Python numbers; NaN and
+infinities are refused on output, and the matrix and cone-vector readers
+refuse them (and ``null``) on input.
 
 Formats:
   matrix         {"n": int, "complex": bool, "entries": flat row-major,
@@ -20,7 +21,6 @@ Formats:
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -32,67 +32,45 @@ from .quantum import MAX_ENTANGLED, QuantumRepresentation
 from .separations import Graph, NotCpCertificate, NotVnaCertificate
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("cannot serialize non-finite float")
-    s = format(float(x), ".17g")
-    if all(ch not in s for ch in ".eE"):
-        s += ".0"
-    return s
-
-
-def _emit(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                raise TypeError(f"JSON object keys must be strings, got {type(k)}")
-            if out[-1] != "{":
-                out.append(", ")
-            out.append(json.dumps(k) + ": ")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        out.append("[")
-        for v in seq:
-            if out[-1] != "[":
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)}")
+def _numpy_default(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def dumps(obj) -> str:
-    out: list = []
-    _emit(obj, out)
-    return "".join(out)
+    try:
+        return json.dumps(obj, allow_nan=False, default=_numpy_default)
+    except ValueError as exc:
+        raise ValueError(f"cannot serialize non-finite float: {exc}") from exc
 
 
 def loads(text: str):
     return json.loads(text)
 
 
+def _finite_array(values, what: str) -> np.ndarray:
+    """values as a float array; ragged or non-numeric input is malformed,
+    and NaN, Infinity and null (read as NaN) are rejected."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {what} JSON: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} entries must be finite, got NaN, Infinity or null")
+    return arr
+
+
 # matrices -------------------------------------------------------------
 
 def matrix_to_json(M) -> dict:
     if isinstance(M, HermMatrix):
-        flat = [[float(z.real), float(z.imag)] for z in M.entries.ravel()]
-        return {"n": M.n, "complex": True, "entries": flat}
+        pairs = M.entries.ravel().view(float).reshape(-1, 2)
+        return {"n": M.n, "complex": True, "entries": pairs.tolist()}
     a = _square(M)
-    return {"n": int(a.shape[0]), "complex": False,
-            "entries": [float(v) for v in a.ravel()]}
+    return {"n": int(a.shape[0]), "complex": False, "entries": a.ravel().tolist()}
 
 
 def matrix_from_json(obj: dict):
@@ -103,12 +81,14 @@ def matrix_from_json(obj: dict):
         entries = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    if len(entries) != n * n:
-        raise ValueError(f"expected {n * n} entries, got {len(entries)}")
+    if n < 1:
+        raise ValueError(f"malformed matrix JSON: n = {n} is not positive")
+    arr = _finite_array(entries, "matrix")
+    if arr.shape != ((n * n, 2) if is_complex else (n * n,)):
+        raise ValueError(f"expected {n * n} entries, got an array of shape {arr.shape}")
     if is_complex:
-        vals = np.array([complex(re, im) for re, im in entries]).reshape(n, n)
-        return HermMatrix(vals)
-    return np.array([float(v) for v in entries], dtype=float).reshape(n, n)
+        return HermMatrix(arr.view(complex).reshape(n, n))
+    return arr.reshape(n, n)
 
 
 # lorentz families -----------------------------------------------------
@@ -123,13 +103,12 @@ def lorentz_from_json(obj: dict) -> GramLorentzFactorization:
         rows = obj["vectors"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed lorentz JSON: {exc}") from exc
-    vecs = []
-    for row in rows:
-        arr = np.asarray(row, dtype=float)
-        if arr.shape != (m,):
-            raise ValueError(f"vector length {arr.shape} does not match m = {m}")
-        vecs.append(LorentzVector(float(arr[0]), arr[1:]))
-    return GramLorentzFactorization(vectors=tuple(vecs))
+    if m < 1:
+        raise ValueError(f"malformed lorentz JSON: m = {m} is not positive")
+    arr = _finite_array(rows, "lorentz")
+    if arr.ndim != 2 or arr.shape[1] != m:
+        raise ValueError(f"vector array of shape {arr.shape} does not match m = {m}")
+    return GramLorentzFactorization(vectors=tuple(LorentzVector(v[0], v[1:]) for v in arr))
 
 
 # psd-factor factorizations --------------------------------------------
@@ -138,17 +117,18 @@ def factorization_to_json(f: CpsdFactorization) -> dict:
     return {"d": f.d, "factors": [matrix_to_json(p) for p in f.factors]}
 
 
+def _herm_from_json(obj: dict) -> HermMatrix:
+    m = matrix_from_json(obj)
+    return m if isinstance(m, HermMatrix) else HermMatrix(m)
+
+
 def factorization_from_json(obj: dict) -> CpsdFactorization:
     try:
         d = int(obj["d"])
         factors = obj["factors"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed factorization JSON: {exc}") from exc
-    mats = []
-    for item in factors:
-        m = matrix_from_json(item)
-        mats.append(m if isinstance(m, HermMatrix) else HermMatrix(m.astype(complex)))
-    return CpsdFactorization(d=d, factors=tuple(mats))
+    return CpsdFactorization(d=d, factors=tuple(_herm_from_json(m) for m in factors))
 
 
 # behaviors ------------------------------------------------------------
@@ -201,15 +181,10 @@ def representation_from_json(obj: dict) -> QuantumRepresentation:
         state = obj.get("state", MAX_ENTANGLED)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed representation JSON: {exc}") from exc
-
-    def as_herm(item) -> HermMatrix:
-        m = matrix_from_json(item)
-        return m if isinstance(m, HermMatrix) else HermMatrix(m.astype(complex))
-
-    parsed_state = state if state == MAX_ENTANGLED else as_herm(state)
+    parsed_state = state if state == MAX_ENTANGLED else _herm_from_json(state)
     return QuantumRepresentation(d=d,
-                                 row_observables=tuple(as_herm(m) for m in rows),
-                                 col_observables=tuple(as_herm(m) for m in cols),
+                                 row_observables=tuple(_herm_from_json(m) for m in rows),
+                                 col_observables=tuple(_herm_from_json(m) for m in cols),
                                  state=parsed_state)
 
 

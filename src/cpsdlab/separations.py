@@ -253,9 +253,8 @@ def support_graph(X: np.ndarray, tol: float = 1e-10) -> Graph:
     a = _square(X)
     if np.abs(a - a.T).max() > 1e-10:
         raise ValueError("matrix must be symmetric")
-    n = a.shape[0]
-    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if abs(a[u, v]) > tol}
-    return Graph(n=n, edges=frozenset(edges))
+    rows, cols = np.nonzero(np.triu(np.abs(a) > tol, 1))
+    return Graph(n=a.shape[0], edges=frozenset(zip(rows.tolist(), cols.tolist())))
 
 
 def _blocks(adj: list[list[int]]) -> list[list[tuple[int, int]]]:

@@ -100,6 +100,20 @@ class TestJsonIO:
         with pytest.raises(ValueError, match="non-finite"):
             jsonio.dumps(float("nan"))
 
+    @pytest.mark.parametrize("value,text", [
+        (0.1, "0.1"),
+        (1 / 3, "0.3333333333333333"),
+        (1e16, "1e+16"),
+        (-0.0, "-0.0"),
+        (2.0, "2.0"),
+        (np.float64(0.1), "0.1"),
+        (np.int64(3), "3"),
+        (np.bool_(True), "true"),
+        (np.array([[1.0, 0.5]]), "[[1.0, 0.5]]"),
+    ])
+    def test_golden_text(self, value, text):
+        assert jsonio.dumps(value) == text
+
 
 class TestGenerate:
     def test_elliptope_extreme(self, capsys):
@@ -329,6 +343,19 @@ class TestGraphCommand:
 
 
 class TestInputRobustness:
+    @pytest.mark.parametrize("command,text", [
+        ("bound", '{"n": 2, "complex": false, "entries": [1, NaN, NaN, 1]}'),
+        ("factorize", '{"m": 3, "vectors": [[1, 0, 0], [Infinity, 1, 0]]}'),
+        ("factorize", '{"m": 3, "vectors": [[1, 0, 0], [1, null, 0]]}'),
+        ("behavior", '{"n": 2, "complex": false, "entries": [1, null, null, 1]}'),
+    ])
+    def test_nonfinite_input_rejected(self, capsys, tmp_path, command, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert "must be finite" in json.loads(err)["error"]
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "factorize", "/nonexistent/path.json")
         assert code == 2
@@ -367,3 +394,18 @@ class TestDeterminism:
     def test_dump_load_dump_idempotent(self, capsys):
         _, out, _ = run_cli(capsys, "generate", "exp-family", "--n", "1")
         assert jsonio.dumps(json.loads(out)) + "\n" == out
+
+    @pytest.mark.parametrize("command", ["factorize", "behavior"])
+    def test_factor_and_simulation_outputs_stable(self, capsys, tmp_path, command):
+        _, out, _ = run_cli(capsys, "generate", "exp-family", "--n", "2")
+        payload = json.loads(out)["payload"]
+        if command == "factorize":
+            path = write_json(tmp_path, "in.json", payload["lorentz_vectors"])
+            argv = ["factorize", path]
+        else:
+            path = write_json(tmp_path, "in.json", payload["correlation"])
+            argv = ["behavior", path, "--simulate"]
+        code, first, _ = run_cli(capsys, *argv)
+        _, second, _ = run_cli(capsys, *argv)
+        assert code == 0 and first == second
+        assert jsonio.dumps(json.loads(first)) + "\n" == first

@@ -185,6 +185,19 @@ class TestSupportGraph:
     def test_all_ones_is_complete(self):
         assert support_graph(np.ones((3, 3))).edges == complete_graph(3).edges
 
+    @pytest.mark.parametrize("tol", [1e-10, 0.25])
+    def test_matches_pairwise_oracle_at_tol_boundary(self, rng, tol):
+        n = 40
+        a = np.where(rng.random((n, n)) < 0.1, rng.standard_normal((n, n)), 0.0)
+        above = np.nextafter(tol, 1.0)
+        picks = rng.integers(0, 20, size=(n, n))
+        for k, value in enumerate([tol, -tol, above, -above]):
+            a[picks == k] = value
+        a = np.triu(a) + np.triu(a, 1).T
+        assert (np.abs(np.triu(a, 1)) == tol).sum() > 0
+        oracle = {(u, v) for u in range(n) for v in range(u + 1, n) if abs(a[u, v]) > tol}
+        assert support_graph(a, tol=tol).edges == oracle
+
 
 class TestIsCpsdGraph:
     def test_bipartite_graphs_pass(self):

@@ -1,5 +1,7 @@
 """Error-surface tests: every documented rejection actually rejects."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -194,8 +196,35 @@ class TestJsonRejections:
             jsonio.dumps(object())
 
     def test_non_string_keys_rejected(self):
+        assert jsonio.dumps({1: 2}) == '{"1": 2}'
         with pytest.raises(TypeError, match="keys"):
-            jsonio.dumps({1: 2})
+            jsonio.dumps({(1, 2): 3})
+
+    @pytest.mark.parametrize("func,obj", [
+        (jsonio.matrix_from_json, {"n": 1, "entries": [float("nan")]}),
+        (jsonio.matrix_from_json, {"n": 1, "complex": True, "entries": [[1.0, float("inf")]]}),
+        (jsonio.matrix_from_json, {"n": 1, "entries": [None]}),
+        (jsonio.lorentz_from_json, {"m": 2, "vectors": [[float("-inf"), 0.0]]}),
+        (jsonio.lorentz_from_json, {"m": 2, "vectors": [[1.0, None]]}),
+    ])
+    def test_nonfinite_entries_rejected(self, func, obj):
+        with pytest.raises(ValueError, match="must be finite"):
+            func(obj)
+
+    @pytest.mark.parametrize("func,obj,match", [
+        (jsonio.matrix_from_json, {"n": 2, "entries": [1.0, [2.0], 3.0, 4.0]}, "malformed"),
+        (jsonio.matrix_from_json, {"n": 1, "entries": ["one"]}, "malformed"),
+        (jsonio.lorentz_from_json, {"m": 2, "vectors": [[1.0, 0.0], [1.0]]}, "malformed"),
+        (jsonio.matrix_from_json, {"n": 0, "entries": []}, "malformed"),
+        (jsonio.matrix_from_json, {"n": -1, "entries": [1.0]}, "malformed"),
+        (jsonio.lorentz_from_json, {"m": 0, "vectors": [[]]}, "malformed"),
+        (jsonio.matrix_from_json, {"n": 1, "complex": True, "entries": [[1.0, 0.0, 0.0]]},
+         "expected 1 entries"),
+        (jsonio.matrix_from_json, {"n": 2, "entries": 5}, "expected 4 entries"),
+    ])
+    def test_ragged_non_numeric_or_empty_rejected(self, func, obj, match):
+        with pytest.raises(ValueError, match=match):
+            func(obj)
 
 
 class TestCliRejections:
@@ -240,5 +269,19 @@ class TestCliRejections:
         capsys.readouterr()
 
     def test_nonpositive_cap(self, capsys):
-        assert main(["graph", "whatever.json", "--cap", "0"]) == 2
+        assert main(["factorize", "whatever.json", "--cap", "0"]) == 2
+        assert "--cap" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "cycle-sep", "--n", "6", "--cap", "4"],
+        ["generate", "cycle-sep", "--n", "6", "--tol", "1e-6"],
+        ["graph", "g.json", "--cap", "4"],
+        ["graph", "g.json", "--tol", "1e-6"],
+        ["bound", "m.json", "--cap", "4"],
+        ["factorize", "v.json", "--format", "json"],
+    ])
+    def test_unread_flags_not_accepted(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
         capsys.readouterr()
