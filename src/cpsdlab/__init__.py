@@ -11,6 +11,7 @@ from .matcore import (
     real_embed,
     spectral,
     trace_inner,
+    trace_pairings,
 )
 from .clifford import CliffordBasis, clifford_basis, gamma
 from .lorentz import (
@@ -38,7 +39,6 @@ from .cpsdrank import (
     rank_one_factors,
     scale,
     scaled_analytic_bound,
-    support_bound_witness,
     verify_factorization,
 )
 from .bell import (
@@ -81,6 +81,7 @@ from .separations import (
     is_cpsd_graph,
     odd_cycle_dnn,
     odd_cycle_index_sets,
+    support_bound_witness,
     support_graph,
 )
 from .errors import CapExceeded, VerificationError

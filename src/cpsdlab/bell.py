@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded
-from .matcore import PSD_TOL, RANK_TOL, _freeze, _square, gram_vectors, spectral
+from .matcore import (PSD_TOL, RANK_TOL, _finite, _freeze, _square, _symmetric, _unit_rows,
+                      gram_vectors, spectral)
 from .lorentz import GramLorentzFactorization, LorentzVector
 
 OUTCOMES = (1, -1)
@@ -51,7 +52,7 @@ class Behavior:
 
     ``table[ia, ib, x, y]`` holds p(ab|xy) with index 0 mapping to outcome +1
     and index 1 to -1. Entries must be nonnegative (to 1e-12) and sum to one
-    over the outcome axes for every question pair (to 1e-10).
+    over the outcome axes for every question pair (to 1e-10), and be finite.
     """
 
     table: np.ndarray
@@ -60,6 +61,7 @@ class Behavior:
         t = np.array(self.table, dtype=float)
         if t.ndim != 4 or t.shape[:2] != (2, 2):
             raise ValueError(f"behavior table must have shape (2, 2, mA, mB), got {t.shape}")
+        _finite(t, "behavior table")
         if t.min() < -1e-12:
             raise ValueError(f"negative probability {t.min():.3e}")
         totals = t.sum(axis=(0, 1))
@@ -156,15 +158,6 @@ def behavior_matrix(C) -> np.ndarray:
     return np.block([[J + c, J - c], [J - c, J + c]]) / 4.0
 
 
-def _check_unit_rows(V: np.ndarray, what: str, tol: float = 1e-8) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(V, dtype=float))
-    norms = np.linalg.norm(arr, axis=1)
-    if np.abs(norms - 1.0).max() > tol:
-        raise ValueError(f"{what} vectors must be unit length (max deviation "
-                         f"{np.abs(norms - 1.0).max():.3e})")
-    return arr
-
-
 def gl_behavior_factorization(C, U, V, tol: float = 1e-8) -> GramLorentzFactorization:
     """Cone-vector family whose Gram matrix realizes the unbiased behavior of C.
 
@@ -176,8 +169,8 @@ def gl_behavior_factorization(C, U, V, tol: float = 1e-8) -> GramLorentzFactoriz
     `validate_affine_section`.
     """
     c = as_correlation(C)
-    u = _check_unit_rows(U, "row")
-    v = _check_unit_rows(V, "column")
+    u = _unit_rows(U, "row")
+    v = _unit_rows(V, "column")
     if u.shape[0] != c.n or v.shape[0] != c.m:
         raise ValueError("vector counts do not match the correlation shape")
     if u.shape[1] != v.shape[1]:
@@ -212,7 +205,7 @@ def behavior_matrix_factorization(C, U=None, tol: float = 1e-8) -> GramLorentzFa
             raise ValueError("correlation matrix is not an elliptope member; "
                              "supply unit vectors explicitly")
         U = gram_vectors(c.entries)
-    u = _check_unit_rows(U, "row")
+    u = _unit_rows(U, "row")
     dev = np.abs(u @ u.T - c.entries).max()
     if dev > tol:
         raise ValueError(f"<u_x, u_y> does not reproduce the correlations: "
@@ -224,11 +217,13 @@ def behavior_matrix_factorization(C, U=None, tol: float = 1e-8) -> GramLorentzFa
 def elliptope_member(X: np.ndarray, psd_tol: float = PSD_TOL, diag_tol: float = 1e-9) -> bool:
     """Symmetric psd with unit diagonal, up to tolerance."""
     a = _square(X)
-    if np.abs(a - a.T).max() > 1e-10:
+    try:
+        a = _symmetric(a)
+    except ValueError:  # a is square and finite, so only asymmetry gets here
         return False
     if np.abs(np.diag(a) - 1.0).max() > diag_tol:
         return False
-    return spectral((a + a.T) / 2, psd_tol=psd_tol).is_psd
+    return spectral(a, psd_tol=psd_tol).is_psd
 
 
 @dataclass(frozen=True)
@@ -303,7 +298,7 @@ def dq_lower_bound(C, is_extreme: bool) -> tuple[float, int]:
     if not is_extreme:
         raise ValueError("extremality not certified; run elliptope_extreme_test first")
     c = as_correlation(C)
-    rank = spectral((c.entries + c.entries.T) / 2).rank
+    rank = spectral(_symmetric(c.entries)).rank
     half = rank // 2
     if half % 2 == 0:
         ceiling = 1 << (half // 2)

@@ -17,7 +17,7 @@ import numpy as np
 from . import bell, cpsdrank, jsonio, lorentz, quantum, separations
 from .clifford import SIZE_CAP
 from .errors import CapExceeded, VerificationError
-from .matcore import gram_vectors, spectral
+from .matcore import HermMatrix, _symmetric, gram_vectors, spectral
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -126,8 +126,6 @@ def _cmd_generate(args) -> CommandResult:
 
 def _pair_perturbation_gram(r: int):
     """Gram matrix of the psd family I_r + e_i e_j^T + e_j e_i^T (i < j)."""
-    from .matcore import HermMatrix
-
     eye = np.eye(r)
     mats = []
     for i in range(r):
@@ -174,7 +172,7 @@ def _cmd_bound(args) -> CommandResult:
     if args.graph:
         gobj = _read_json(args.input)
         G = jsonio.graph_from_json(gobj)
-        fact, bound = cpsdrank.support_bound_witness(G)
+        fact, bound = separations.support_bound_witness(G)
         payload = {
             "graph": jsonio.graph_to_json(G),
             "support_bound": bound,
@@ -214,11 +212,9 @@ def _cmd_behavior(args) -> CommandResult:
     M = jsonio.matrix_from_json(obj)
     if not isinstance(M, np.ndarray):
         raise ValueError("correlation input must be a real matrix")
-    if np.abs(M).max() > 1 + 1e-12:
-        raise ValueError("correlation entries must lie in [-1, 1]")
-    if not spectral((M + M.T) / 2).is_psd:
-        raise ValueError("correlation matrix must be positive semidefinite")
     C = bell.as_correlation(M)
+    if not spectral(_symmetric(M)).is_psd:
+        raise ValueError("correlation matrix must be positive semidefinite")
     p = bell.behavior_from_correlation(C)
     payload = {"behavior": jsonio.behavior_to_json(p)}
     provenance = ["correlation-to-unbiased-behavior"]
@@ -228,20 +224,16 @@ def _cmd_behavior(args) -> CommandResult:
     P = bell.behavior_matrix(C)
     rank_b = cpsdrank.rank_lower_bound(P)
     bounds: dict = {"rank_lower_bound": rank_b,
-                    "rank_lower_bound_ceiling": cpsdrank.ceil_snapped(rank_b)}
-    if C.n == C.m and bell.elliptope_member(M):
-        extreme = bell.elliptope_extreme_test(M)
-        if extreme.is_extreme:
-            value, ceiling = bell.dq_lower_bound(C, extreme.is_extreme)
-            bounds["dimension_lower_bound"] = {"value": value, "ceiling": ceiling}
-            provenance.append("elliptope-extreme-dimension-bound")
-        else:
-            bounds["dimension_lower_bound"] = None
-    else:
-        bounds["dimension_lower_bound"] = None
+                    "rank_lower_bound_ceiling": cpsdrank.ceil_snapped(rank_b),
+                    "dimension_lower_bound": None}
+    member = bell.elliptope_member(M)
+    if member and (extreme := bell.elliptope_extreme_test(M)).is_extreme:
+        value, ceiling = bell.dq_lower_bound(C, extreme.is_extreme)
+        bounds["dimension_lower_bound"] = {"value": value, "ceiling": ceiling}
+        provenance.append("elliptope-extreme-dimension-bound")
     payload["bounds"] = bounds
     if args.simulate or args.validate:
-        if not bell.elliptope_member(M):
+        if not member:
             raise ValueError("simulation and validation need a unit-diagonal "
                              "(elliptope) correlation matrix")
         U = gram_vectors(M)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded
-from .matcore import PSD_TOL, RANK_TOL, HermMatrix, _square, gram_vectors, spectral
+from .matcore import (PSD_TOL, RANK_TOL, HermMatrix, _square, _symmetric, direct_sum,
+                      gram_vectors, spectral, trace_pairings)
 
 HADAMARD_ENTRY_CAP = 20
 
@@ -44,14 +45,16 @@ class CpsdFactorization:
         return len(self.factors)
 
     def gram(self) -> np.ndarray:
-        """The matrix Tr(P_i P_j) this family factorizes."""
+        """The matrix Tr(P_i P_j) this family factorizes (P_j = P_j*)."""
         F = np.stack([p.entries for p in self.factors])
-        g = np.einsum("auv,bvu->ab", F, F)
-        return g.real
+        return trace_pairings(F, F).real
 
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """Residual check of a factorization; ``factors_psd`` is always true, because
+    a CpsdFactorization decides psd once, at construction, on read-only factors."""
+
     ok: bool
     max_residual: float
     tol: float
@@ -89,14 +92,12 @@ def ceil_snapped(value: float, snap: float = 1e-9) -> int:
 
 
 def verify_factorization(X: np.ndarray, f: CpsdFactorization, tol: float = 1e-8) -> VerifyReport:
-    """Check max_ij |X_ij - Tr(P_i P_j)| <= tol and that every factor is psd."""
+    """Check max_ij |X_ij - Tr(P_i P_j)| <= tol; the factors are psd by type."""
     a = _square(X)
     if a.shape[0] != f.n:
         raise ValueError(f"target size {a.shape[0]} does not match factor count {f.n}")
     residual = float(np.abs(a - f.gram()).max())
-    psd_ok = all(spectral(p).is_psd for p in f.factors)
-    return VerifyReport(ok=residual <= tol and psd_ok, max_residual=residual,
-                        tol=tol, factors_psd=psd_ok)
+    return VerifyReport(ok=residual <= tol, max_residual=residual, tol=tol, factors_psd=True)
 
 
 def _check_nonnegative(X: np.ndarray) -> np.ndarray:
@@ -126,9 +127,8 @@ def scaled_analytic_bound(X: np.ndarray, iters: int = 100) -> float:
     and moves it to the stationary point of the one-variable bound. The result
     is never below the unscaled bound.
     """
-    a = _check_nonnegative(X)
-    if a.sum() <= 0:
-        raise ValueError("matrix has zero total sum")
+    base = analytic_lower_bound(X)
+    a = np.asarray(X, dtype=float)
     n = a.shape[0]
     s = np.sqrt(np.diag(a))
 
@@ -163,13 +163,12 @@ def scaled_analytic_bound(X: np.ndarray, iters: int = 100) -> float:
                 d, best, moved = cand, val, True
         if not moved:
             break
-    return max(best, analytic_lower_bound(a))
+    return max(best, base)
 
 
 def rank_lower_bound(X: np.ndarray) -> float:
     """sqrt(rank X); valid because size-d Hermitian factors live in a d^2-dimensional space."""
-    a = np.asarray(X, dtype=float)
-    rep = spectral((a + a.T) / 2)
+    rep = spectral(_symmetric(X))
     if not rep.is_psd:
         raise ValueError("matrix is not positive semidefinite")
     return math.sqrt(rep.rank)
@@ -198,8 +197,6 @@ def add(f: CpsdFactorization, g: CpsdFactorization) -> CpsdFactorization:
     """Factorization of X + Y via blockwise factors P_i (+) Q_i."""
     if f.n != g.n:
         raise ValueError(f"factor counts differ: {f.n} vs {g.n}")
-    from .matcore import direct_sum
-
     return CpsdFactorization(
         d=f.d + g.d,
         factors=tuple(direct_sum(p, q) for p, q in zip(f.factors, g.factors)))
@@ -207,8 +204,6 @@ def add(f: CpsdFactorization, g: CpsdFactorization) -> CpsdFactorization:
 
 def dsum(f: CpsdFactorization, g: CpsdFactorization) -> CpsdFactorization:
     """Factorization of the block-diagonal X (+) Y; factor sizes and counts add."""
-    from .matcore import direct_sum
-
     zero_g = HermMatrix(np.zeros((g.d, g.d)))
     zero_f = HermMatrix(np.zeros((f.d, f.d)))
     padded_f = [direct_sum(p, zero_g) for p in f.factors]
@@ -240,7 +235,7 @@ def compress(f: CpsdFactorization, rank_tol: float = RANK_TOL) -> CpsdFactorizat
     no-op.
     """
     total = np.sum([p.entries for p in f.factors], axis=0)
-    w, Q = np.linalg.eigh((total + total.conj().T) / 2)
+    w, Q = np.linalg.eigh(total)  # a sum of exactly Hermitian factors
     keep = w > rank_tol * max(1.0, abs(float(w[-1])))
     basis = Q[:, keep]
     r = int(keep.sum())
@@ -264,9 +259,7 @@ def hadamard_sqrt_psd(X: np.ndarray, entry_cap: int = HADAMARD_ENTRY_CAP,
     lexicographic order with +1 before -1, so the returned pattern is the
     lexicographically smallest valid one and the output is deterministic.
     """
-    a = _check_nonnegative(X)
-    if np.abs(a - a.T).max() > 1e-12:
-        raise ValueError("matrix must be symmetric")
+    a = _symmetric(_check_nonnegative(X), 1e-12)
     n = a.shape[0]
     if n > 20:
         raise CapExceeded(f"matrix size {n} exceeds the Hadamard search cap 20")
@@ -303,52 +296,13 @@ def rank_one_factors(root: np.ndarray, rank_tol: float = RANK_TOL) -> CpsdFactor
     return CpsdFactorization(d=r, factors=tuple(factors))
 
 
-def support_bound_witness(G) -> tuple[CpsdFactorization, int]:
-    """Constructive witness bounding the least factor size over matrices with support G.
-
-    For a graph with at least one edge, shift the adjacency matrix by its
-    least eigenvalue (multiplicity m) and project onto the spans of the Gram
-    vectors of the shifted matrix: the resulting rank-one projectors P_u
-    satisfy Tr(P_u P_v) = 0 exactly when u and v are non-adjacent, witnessing
-    a factor size of n - m. The edgeless graph degenerates (the shifted matrix
-    is zero), so it gets the diagonal witness {e_u e_u^T} of size n instead.
-    Returns (factorization, bound).
-    """
-    from .separations import Graph  # local import: avoids a module cycle
-
-    if not isinstance(G, Graph):
-        raise TypeError("expected a Graph")
-    n = G.n
-    if not G.edges:
-        eye = np.eye(n)
-        factors = tuple(HermMatrix(np.outer(eye[u], eye[u])) for u in range(n))
-        return CpsdFactorization(d=n, factors=factors), n
-    A = G.adjacency()
-    w = np.linalg.eigvalsh(A)
-    tau = float(w[0])
-    mult = int(np.count_nonzero(np.abs(w - tau) <= RANK_TOL * max(1.0, float(np.abs(w).max()))))
-    shifted = A - tau * np.eye(n)
-    V = gram_vectors(shifted)
-    d = max(1, V.shape[1])
-    factors = []
-    for row in V:
-        norm = float(np.linalg.norm(row))
-        v = np.zeros(d)
-        if norm > 0:
-            v[: V.shape[1]] = row / norm
-        factors.append(HermMatrix(np.outer(v, v)))
-    return CpsdFactorization(d=d, factors=tuple(factors)), n - mult
-
-
 def bound_report(X: np.ndarray, scale_search: bool = False, iters: int = 100,
                  upper: int | None = None,
                  upper_provenance: str | None = None) -> BoundReport:
     """Assemble the certified lower bounds (and optional upper bound) for X."""
-    a = _square(X)
-    if np.abs(a - a.T).max() > 1e-10:
-        raise ValueError("bounds need a square symmetric matrix")
-    analytic = scaled_analytic_bound(X, iters=iters) if scale_search else analytic_lower_bound(X)
-    rank_b = rank_lower_bound(X)
+    a = _symmetric(X)
+    analytic = scaled_analytic_bound(a, iters=iters) if scale_search else analytic_lower_bound(a)
+    rank_b = rank_lower_bound(a)
     return BoundReport(
         lower_analytic=analytic,
         lower_rank=rank_b,

@@ -27,7 +27,7 @@ import numpy as np
 from .bell import Behavior
 from .cpsdrank import BoundReport, CpsdFactorization, VerifyReport
 from .lorentz import GramLorentzFactorization, LorentzVector
-from .matcore import HermMatrix, _square
+from .matcore import HermMatrix, _finite, _square
 from .quantum import MAX_ENTANGLED, QuantumRepresentation
 from .separations import Graph, NotCpCertificate, NotVnaCertificate
 
@@ -58,9 +58,7 @@ def _finite_array(values, what: str) -> np.ndarray:
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed {what} JSON: {exc}") from exc
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} entries must be finite, got NaN, Infinity or null")
-    return arr
+    return _finite(arr, what)
 
 
 # matrices -------------------------------------------------------------

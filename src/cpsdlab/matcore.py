@@ -1,10 +1,14 @@
 """Dense Hermitian matrix kernel.
 
 Everything downstream (cone embeddings, factorizations, behaviors) is built
-on a small set of exact-arithmetic-free primitives: validated Hermitian
-carriers, spectral classification with explicit tolerances, Gram/Kronecker/
-direct-sum algebra, and the complex-to-real embedding that identifies a
-Hermitian matrix with a real symmetric one of twice the size.
+on a small set of exact-arithmetic-free primitives: one input gate
+(``_square`` admits finite square arrays through ``_finite``, which the JSON
+readers share; ``_symmetric`` adds the symmetry test and ``_unit_rows``
+tests vector families), validated Hermitian carriers, spectral
+classification with explicit tolerances, ``trace_pairings`` (each family
+Tr(A_i B_j*) as one flat product), Gram/Kronecker/direct-sum algebra, and
+the complex-to-real embedding that identifies a Hermitian matrix with a real
+symmetric one of twice the size.
 
 All operations are pure functions on immutable values.
 """
@@ -25,34 +29,59 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """a itself; raises ValueError on NaN or infinite entries (a null read as float is NaN)."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} entries must be finite, got NaN, Infinity or null")
+    return a
+
+
 def _square(X, dtype=float) -> np.ndarray:
-    """X as a two-dimensional square array; raises ValueError otherwise."""
+    """X as a finite two-dimensional square array; raises ValueError otherwise."""
     a = np.asarray(X, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
+    return _finite(a, "matrix")
+
+
+def _symmetric(X, tol: float = 1e-10, dtype=float) -> np.ndarray:
+    """X as a finite square array equal to its conjugate transpose up to tol
+    (entrywise, absolute), returned as (X + X*)/2 so the symmetry is exact;
+    raises ValueError otherwise. Exactly symmetric input comes back unchanged."""
+    a = _square(X, dtype)
+    asym = float(np.abs(a - a.conj().T).max(initial=0.0))
+    if asym > tol:
+        kind = "symmetric" if a.dtype.kind == "f" else "Hermitian"
+        raise ValueError(f"matrix is not {kind}: asymmetry {asym:.3e} > {tol:.0e}")
+    return (a + a.conj().T) / 2
+
+
+def _unit_rows(V, what: str, tol: float = 1e-8) -> np.ndarray:
+    """V as a finite real array whose rows have unit length up to tol."""
+    arr = _finite(np.atleast_2d(np.asarray(V, dtype=float)), f"{what} vector")
+    dev = np.abs(np.linalg.norm(arr, axis=1) - 1.0).max(initial=0.0)
+    if dev > tol:
+        raise ValueError(f"{what} vectors must be unit length (max deviation {dev:.3e})")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class HermMatrix:
-    """Square complex Hermitian matrix.
+    """Square complex Hermitian matrix with finite entries.
 
     Input with asymmetry at most ``HERM_TOL`` (entrywise, absolute) is
     symmetrized to (X + X*)/2, which absorbs float round-off without masking
-    genuinely non-Hermitian data; larger asymmetry raises. The diagonal is
-    exactly real after symmetrization.
+    genuinely non-Hermitian data; larger asymmetry and non-finite entries
+    raise. The diagonal is exactly real after symmetrization.
     """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = _square(self.entries, complex)
+        a = _symmetric(self.entries, HERM_TOL, complex)
         if a.shape[0] == 0:
             raise ValueError("empty matrix")
-        asym = np.abs(a - a.conj().T).max()
-        if asym > HERM_TOL:
-            raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} > {HERM_TOL:.0e}")
-        object.__setattr__(self, "entries", _freeze((a + a.conj().T) / 2))
+        object.__setattr__(self, "entries", _freeze(a))
 
     @property
     def n(self) -> int:
@@ -87,12 +116,6 @@ class SpectralReport:
         return float(self.eigenvalues[-1])
 
 
-def _as_herm_array(X: HermMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(X, HermMatrix):
-        return X.entries
-    return HermMatrix(np.asarray(X)).entries
-
-
 def gram(vectors) -> HermMatrix:
     """Gram matrix of equal-length vectors, conjugate-linear in the first slot."""
     if len(vectors) == 0:
@@ -109,7 +132,7 @@ def spectral(X: HermMatrix | np.ndarray, rank_tol: float = RANK_TOL,
     """Eigenvalues (ascending), numerical rank and psd flag of a Hermitian matrix."""
     if rank_tol <= 0 or psd_tol <= 0:
         raise ValueError("tolerances must be positive")
-    a = _as_herm_array(X)
+    a = X.entries if isinstance(X, HermMatrix) else HermMatrix(X).entries
     try:
         w = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
@@ -140,11 +163,18 @@ def direct_sum(A: HermMatrix, B: HermMatrix) -> HermMatrix:
     return HermMatrix(out)
 
 
+def trace_pairings(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The matrix [Tr(A_i B_j*)] for stacks A (n, d, d) and B (m, d, d): Tr(A B*)
+    sums the entries of A times the conjugated entries of B, so the whole
+    family is one product of the flattened stacks."""
+    return A.reshape(len(A), -1) @ B.reshape(len(B), -1).conj().T
+
+
 def trace_inner(A: HermMatrix, B: HermMatrix) -> float:
     """Hilbert-Schmidt inner product Tr(A B*) of two same-size Hermitian matrices."""
     if A.n != B.n:
         raise ValueError(f"size mismatch: {A.n} vs {B.n}")
-    val = complex(np.tensordot(A.entries, B.entries.conj().T, axes=([0, 1], [1, 0])))
+    val = complex(trace_pairings(A.entries[None], B.entries[None])[0, 0])
     if abs(val.imag) > 1e-10:
         raise ValueError(f"inner product has nonreal value {val}")
     return float(val.real)
@@ -167,8 +197,7 @@ def gram_vectors(X: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     r is the numerical rank of X; eigenvalues at or below the rank cut are
     truncated, so the reconstruction error is bounded by the cut.
     """
-    a = _square(X)
-    w, Q = np.linalg.eigh((a + a.T) / 2)
+    w, Q = np.linalg.eigh(_symmetric(X))
     scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
     keep = w > rank_tol * scale
     if w.size and w[0] < -PSD_TOL * scale:

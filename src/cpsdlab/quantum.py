@@ -19,7 +19,7 @@ import numpy as np
 from .bell import Behavior, FullCorrelation, OUTCOMES
 from .clifford import clifford_basis, gamma
 from .errors import CapExceeded
-from .matcore import HermMatrix, spectral
+from .matcore import HermMatrix, _unit_rows, spectral
 
 IDENTITY_PATH_CAP = 4096
 EXPLICIT_PATH_CAP = 64
@@ -110,14 +110,10 @@ def representation_from_vectors(U, V, cap: int | None = None) -> QuantumRepresen
     dimension 1 is padded to 2 so the observables stay traceless and the
     resulting behavior unbiased.
     """
-    u = np.atleast_2d(np.asarray(U, dtype=float))
-    v = np.atleast_2d(np.asarray(V, dtype=float))
+    u = _unit_rows(U, "row")
+    v = _unit_rows(V, "column")
     if u.shape[1] != v.shape[1]:
         raise ValueError("row and column vectors live in different dimensions")
-    for name, arr in (("row", u), ("column", v)):
-        norms = np.linalg.norm(arr, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-8:
-            raise ValueError(f"{name} vectors must be unit length")
     if u.shape[1] == 1:
         u = np.hstack([u, np.zeros((u.shape[0], 1))])
         v = np.hstack([v, np.zeros((v.shape[0], 1))])
@@ -159,7 +155,8 @@ def _expectations(rep: QuantumRepresentation) -> tuple[np.ndarray, np.ndarray, n
         raise CapExceeded(f"pairing-identity path capped at d = {IDENTITY_PATH_CAP}")
     ex = np.array([np.trace(m.entries).real / d for m in rep.row_observables])
     ey = np.array([np.trace(nn.entries).real / d for nn in rep.col_observables])
-    exy = np.array([[np.trace(m.entries @ nn.entries.T).real / d
+    # Tr(M N^T) = sum of M o N: one unconjugated dot per pair, no stacked copies
+    exy = np.array([[np.dot(m.entries.ravel(), nn.entries.ravel()).real / d
                      for nn in rep.col_observables]
                     for m in rep.row_observables])
     return ex, ey, exy

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cpsdrank import CpsdFactorization
 from .lorentz import GramLorentzFactorization, LorentzVector
-from .matcore import _square, spectral
+from .matcore import RANK_TOL, HermMatrix, _symmetric, gram_vectors, spectral
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,41 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
+
+
+def support_bound_witness(G) -> tuple[CpsdFactorization, int]:
+    """Constructive witness bounding the least factor size over matrices with support G.
+
+    For a graph with at least one edge, shift the adjacency matrix by its
+    least eigenvalue (multiplicity m) and project onto the spans of the Gram
+    vectors of the shifted matrix: the resulting rank-one projectors P_u
+    satisfy Tr(P_u P_v) = 0 exactly when u and v are non-adjacent, witnessing
+    a factor size of n - m. The edgeless graph degenerates (the shifted matrix
+    is zero), so it gets the diagonal witness {e_u e_u^T} of size n instead.
+    Returns (factorization, bound).
+    """
+    if not isinstance(G, Graph):
+        raise TypeError("expected a Graph")
+    n = G.n
+    if not G.edges:
+        eye = np.eye(n)
+        factors = tuple(HermMatrix(np.outer(eye[u], eye[u])) for u in range(n))
+        return CpsdFactorization(d=n, factors=factors), n
+    A = G.adjacency()
+    w = np.linalg.eigvalsh(A)
+    tau = float(w[0])
+    mult = int(np.count_nonzero(np.abs(w - tau) <= RANK_TOL * max(1.0, float(np.abs(w).max()))))
+    shifted = A - tau * np.eye(n)
+    V = gram_vectors(shifted)
+    d = max(1, V.shape[1])
+    factors = []
+    for row in V:
+        norm = float(np.linalg.norm(row))
+        v = np.zeros(d)
+        if norm > 0:
+            v[: V.shape[1]] = row / norm
+        factors.append(HermMatrix(np.outer(v, v)))
+    return CpsdFactorization(d=d, factors=tuple(factors)), n - mult
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,13 +220,11 @@ def check_not_vna(X: np.ndarray, I, J, i_star: int, j_star: int,
     directly off the matrix entries, and non-parallelism of the pivots is the
     strict 2 x 2 determinant, i.e. strictness in Cauchy-Schwarz.
     """
-    a = _square(X)
+    a = _symmetric(X)
     n = a.shape[0]
-    if np.abs(a - a.T).max() > 1e-10:
-        raise ValueError("matrix must be symmetric")
     if a.min() < -1e-12:
         raise ValueError("matrix must be entrywise nonnegative")
-    rep = spectral((a + a.T) / 2)
+    rep = spectral(a)
     if not rep.is_psd:
         raise ValueError("matrix must be positive semidefinite")
     set_i = tuple(int(i) for i in I)
@@ -250,9 +284,7 @@ def odd_cycle_index_sets(t: int) -> tuple[list[int], list[int], int, int]:
 
 def support_graph(X: np.ndarray, tol: float = 1e-10) -> Graph:
     """Graph with an edge wherever an off-diagonal entry is nonzero (above tol)."""
-    a = _square(X)
-    if np.abs(a - a.T).max() > 1e-10:
-        raise ValueError("matrix must be symmetric")
+    a = _symmetric(X)
     rows, cols = np.nonzero(np.triu(np.abs(a) > tol, 1))
     return Graph(n=a.shape[0], edges=frozenset(zip(rows.tolist(), cols.tolist())))
 

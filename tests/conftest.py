@@ -34,6 +34,12 @@ def random_psd(rng: np.random.Generator, n: int, complex_entries: bool = True) -
     return a @ a.conj().T
 
 
+def pairing_tol(a: np.ndarray, b: np.ndarray) -> float:
+    """Bound, fixed from the dtype, on how far two summation orders of
+    Tr(A B*) for d x d matrices may differ: 8 d eps |A|_F |B|_F."""
+    return 8 * a.shape[0] * np.finfo(float).eps * np.linalg.norm(a) * np.linalg.norm(b)
+
+
 def random_dnn(rng: np.random.Generator, n: int) -> np.ndarray:
     """Doubly nonnegative: Gram matrix of nonnegative vectors."""
     V = np.abs(rng.standard_normal((n, n + 2)))

@@ -214,6 +214,14 @@ class TestFactorize:
         target = jsonio.matrix_from_json(payload["gram"])
         assert verify_factorization(target, fact, tol=1e-8).ok
 
+    def test_cap_exceeded_exit_code(self, capsys, tmp_path):
+        # 4 vectors need generators of size 2^2
+        vectors = [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 1, 0], [1, 0, 0, 0, 1]]
+        path = write_json(tmp_path, "v.json", {"m": 5, "vectors": vectors})
+        code, _, err = run_cli(capsys, "factorize", path, "--cap", "2")
+        assert code == 3
+        assert json.loads(err)["status"] == "cap-exceeded"
+
 
 class TestBound:
     def test_identity_lower_bound(self, capsys, tmp_path):
@@ -288,6 +296,14 @@ class TestBehaviorCommand:
         assert payload["simulation"]["max_deviation"] < 1e-9
         assert payload["affine_section_valid"] is True
 
+    def test_asymmetric_rejected(self, capsys, tmp_path):
+        # its symmetric part is a psd correlation matrix
+        path = write_json(tmp_path, "c.json",
+                          jsonio.matrix_to_json(np.array([[1.0, 0.5], [0.0, 1.0]])))
+        code, out, err = run_cli(capsys, "behavior", path)
+        assert code == 2 and out == ""
+        assert "not symmetric" in json.loads(err)["error"]
+
     def test_non_psd_rejected(self, capsys, tmp_path):
         bad = np.array([[1.0, 1.0], [1.0, -1.0]])
         path = write_json(tmp_path, "c.json", jsonio.matrix_to_json(bad))
@@ -331,15 +347,6 @@ class TestGraphCommand:
         path = write_json(tmp_path, "g.json", jsonio.graph_to_json(g))
         code, out, _ = run_cli(capsys, "graph", path)
         assert code == 0 and json.loads(out)["payload"]["cpsd"] is True
-
-    def test_cap_exceeded_exit_code(self, capsys, tmp_path):
-        # graph has no vertex cap; exit code 3 is checked on factorize's
-        # generator size cap (4 vectors need generators of size 2^2)
-        vectors = [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 1, 0], [1, 0, 0, 0, 1]]
-        path = write_json(tmp_path, "v.json", {"m": 5, "vectors": vectors})
-        code, _, err = run_cli(capsys, "factorize", path, "--cap", "2")
-        assert code == 3
-        assert json.loads(err)["status"] == "cap-exceeded"
 
 
 class TestInputRobustness:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import five_factor_example, make_rng, no_psd_root_example, random_dnn
+from conftest import (five_factor_example, make_rng, no_psd_root_example, pairing_tol, random_dnn,
+                      random_psd)
+from cpsdlab import cpsdrank
 from cpsdlab.cpsdrank import (
     compress,
     conjugate,
@@ -20,12 +22,11 @@ from cpsdlab.cpsdrank import (
     rank_one_factors,
     scale,
     scaled_analytic_bound,
-    support_bound_witness,
     verify_factorization,
 )
 from cpsdlab.errors import CapExceeded
 from cpsdlab.matcore import HermMatrix, spectral, trace_inner
-from cpsdlab.separations import Graph
+from cpsdlab.separations import Graph, support_bound_witness
 
 S2 = math.sqrt(2.0)
 
@@ -70,6 +71,33 @@ class TestVerify:
     def test_non_psd_factor_rejected_at_construction(self):
         with pytest.raises(ValueError, match="not positive semidefinite"):
             herm_fact([np.diag([1.0, -1.0])])
+
+    def test_psd_decided_once_per_factor(self, known_example, monkeypatch):
+        X, fact = known_example
+        calls = []
+        original = cpsdrank.spectral
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cpsdrank, "spectral", counting)
+        report = verify_factorization(X, CpsdFactorization(d=fact.d, factors=fact.factors))
+        assert report.ok and report.factors_psd
+        assert len(calls) <= fact.n
+
+
+class TestGram:
+    @pytest.mark.parametrize("complex_entries", [True, False])
+    @pytest.mark.parametrize("d", [1, 4, 16])
+    def test_matches_einsum_reference(self, complex_entries, d):
+        rng = make_rng(d)
+        fact = herm_fact([random_psd(rng, d, complex_entries) for _ in range(7)])
+        F = np.stack([p.entries for p in fact.factors])
+        want = np.einsum("auv,bvu->ab", F, F).real
+        got = fact.gram()
+        for i, j in np.ndindex(want.shape):
+            assert abs(got[i, j] - want[i, j]) <= pairing_tol(F[i], F[j])
 
 
 class TestAnalyticBound:
@@ -156,6 +184,12 @@ class TestRankBound:
     def test_not_psd_rejected(self):
         with pytest.raises(ValueError, match="not positive semidefinite"):
             rank_lower_bound(np.diag([1.0, -1.0]))
+
+    def test_asymmetric_rejected_not_symmetrized(self):
+        # the symmetric part is the identity, whose bound sqrt(2) says nothing
+        # about this matrix
+        with pytest.raises(ValueError, match="not symmetric"):
+            rank_lower_bound([[1.0, 5.0], [-5.0, 1.0]])
 
 
 class TestCombinators:

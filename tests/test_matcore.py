@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     five_factor_example,
     make_rng,
+    pairing_tol,
     random_hermitian,
     random_psd,
     span_dim_by_qr,
@@ -20,6 +21,7 @@ from cpsdlab.matcore import (
     real_embed,
     spectral,
     trace_inner,
+    trace_pairings,
 )
 
 S2 = math.sqrt(2.0)
@@ -34,6 +36,12 @@ class TestHermMatrix:
     def test_large_asymmetry_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             HermMatrix(np.array([[1.0, 0.5], [0.6, 2.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build", [HermMatrix, spectral])
+    def test_non_finite_rejected(self, bad, build):
+        with pytest.raises(ValueError, match="must be finite"):
+            build(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_diagonal_made_exactly_real(self):
         h = HermMatrix(np.array([[1.0 + 1e-13j, 1j], [-1j, 2.0]]))
@@ -176,6 +184,24 @@ class TestTraceInner:
             assert trace_inner(a, b) >= -1e-10
 
 
+class TestTracePairings:
+    @pytest.mark.parametrize("kind", ["hermitian", "real", "complex"])
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    def test_matches_per_pair_trace_loop(self, rng, kind, d):
+        def stack(k):
+            if kind == "hermitian":
+                return np.stack([random_hermitian(rng, d) for _ in range(k)])
+            a = rng.standard_normal((k, d, d))
+            return a if kind == "real" else a + 1j * rng.standard_normal((k, d, d))
+
+        A, B = stack(5), stack(4)
+        got = trace_pairings(A, B)
+        assert got.shape == (5, 4)
+        for i, a in enumerate(A):
+            for j, b in enumerate(B):
+                assert abs(got[i, j] - np.trace(a @ b.conj().T)) <= pairing_tol(a, b)
+
+
 class TestRealEmbed:
     def test_identity_scales(self):
         got = real_embed(HermMatrix(np.eye(3)))
@@ -213,3 +239,8 @@ class TestGramVectors:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="not psd"):
             gram_vectors(np.diag([1.0, -1.0]))
+
+    def test_rejects_asymmetric(self):
+        # its symmetric part is the identity, which has Gram vectors
+        with pytest.raises(ValueError, match="not symmetric"):
+            gram_vectors(np.array([[1.0, 5.0], [-5.0, 1.0]]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_elliptope
+from conftest import pairing_tol, random_elliptope
 from cpsdlab.bell import behavior_from_correlation, behavior_to_full, no_signaling_check
 from cpsdlab.clifford import PAULI_X, PAULI_Y, PAULI_Z
 from cpsdlab.matcore import HermMatrix, gram_vectors, spectral
@@ -110,6 +110,29 @@ class TestRepresentationFromVectors:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             representation_from_vectors(np.array([[2.0, 0.0]]), np.array([[1.0, 0.0]]))
+
+
+class TestPairingPath:
+    @pytest.mark.parametrize("d", [2, 8, 16])
+    def test_matches_per_pair_trace_loop(self, rng, d):
+        def observable():
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            q, _ = np.linalg.qr(z)
+            return HermMatrix(q @ np.diag(rng.uniform(-1.0, 1.0, d)) @ q.conj().T)
+
+        rows = tuple(observable() for _ in range(5))
+        cols = tuple(observable() for _ in range(4))
+        got = full_correlation_of(
+            QuantumRepresentation(d=d, row_observables=rows, col_observables=cols))
+        eye = np.eye(d)
+        for x, m in enumerate(rows):
+            assert abs(got.c_x[x] - np.trace(m.entries).real / d) <= pairing_tol(m.entries, eye)
+        for y, nn in enumerate(cols):
+            assert abs(got.c_y[y] - np.trace(nn.entries).real / d) <= pairing_tol(nn.entries, eye)
+        for x, m in enumerate(rows):
+            for y, nn in enumerate(cols):
+                want = np.trace(m.entries @ nn.entries.T).real / d
+                assert abs(got.c_xy[x, y] - want) <= pairing_tol(m.entries, nn.entries) / d
 
 
 class TestSimulate:

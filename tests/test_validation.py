@@ -13,20 +13,26 @@ from cpsdlab.bell import (
     behavior_matrix,
     behavior_matrix_factorization,
     elliptope_extreme_construct,
+    dq_lower_bound,
     elliptope_member,
     gl_behavior_factorization,
 )
 from cpsdlab.cli import main
 from cpsdlab.cpsdrank import (
     CpsdFactorization,
+    bound_report,
+    hadamard_sqrt_psd,
+    rank_lower_bound,
     scaled_analytic_bound,
-    support_bound_witness,
     verify_factorization,
 )
 from cpsdlab.lorentz import GramLorentzFactorization, LorentzVector, gl_matrix, gl_reduce
 from cpsdlab.matcore import HermMatrix, gram_vectors
 from cpsdlab.quantum import QuantumRepresentation, representation_from_vectors
-from cpsdlab.separations import Graph, check_not_cp, check_not_vna, cycle_pairing, cycle_vectors
+from cpsdlab.separations import (Graph, check_not_cp, check_not_vna, cycle_pairing, cycle_vectors,
+                                 support_bound_witness, support_graph)
+
+ASYMMETRIC = np.array([[1.0, 0.5], [0.0, 1.0]])  # nonnegative, symmetric part psd
 
 
 class TestMatcoreRejections:
@@ -37,6 +43,19 @@ class TestMatcoreRejections:
     def test_gram_vectors_non_square(self):
         with pytest.raises(ValueError, match="square"):
             gram_vectors(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("check", [
+        rank_lower_bound,
+        bound_report,
+        gram_vectors,
+        pytest.param(lambda X: dq_lower_bound(X, True), id="dq_lower_bound"),
+        hadamard_sqrt_psd,
+        pytest.param(lambda X: check_not_vna(X, [0], [1], 0, 1), id="check_not_vna"),
+        support_graph,
+    ])
+    def test_asymmetric_input_rejected_by_the_shared_gate(self, check):
+        with pytest.raises(ValueError, match="not symmetric: asymmetry 5.000e-01"):
+            check(ASYMMETRIC)
 
     def test_is_real_flag(self):
         assert HermMatrix(np.eye(2)).is_real()
@@ -86,6 +105,23 @@ class TestBellRejections:
     def test_behavior_shape(self):
         with pytest.raises(ValueError, match="shape"):
             Behavior(table=np.full((2, 3, 1, 1), 0.25))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_behavior_non_finite(self, bad):
+        table = np.full((2, 2, 1, 1), 0.25)
+        table[0, 0, 0, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            Behavior(table=table)
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda U: gl_behavior_factorization(np.zeros((1, 1)), U, np.eye(2)[:1]),
+                     id="gl_behavior_factorization"),
+        pytest.param(lambda U: representation_from_vectors(U, np.eye(2)[:1]),
+                     id="representation_from_vectors"),
+    ])
+    def test_non_finite_vectors(self, build):
+        with pytest.raises(ValueError, match="must be finite"):
+            build(np.array([[np.nan, 0.0]]))
 
     def test_full_correlation_shape(self):
         with pytest.raises(ValueError, match="shape"):
@@ -147,6 +183,10 @@ class TestQuantumRejections:
         with pytest.raises(ValueError, match="different dimensions"):
             representation_from_vectors(np.eye(2)[:1], np.eye(3)[:1])
 
+    def test_empty_vector_family(self):
+        with pytest.raises(ValueError, match="at least one observable"):
+            representation_from_vectors(np.zeros((0, 2)), np.zeros((0, 2)))
+
 
 class TestSeparationsRejections:
     def test_graph_needs_vertices(self):
@@ -206,6 +246,8 @@ class TestJsonRejections:
         (jsonio.matrix_from_json, {"n": 1, "entries": [None]}),
         (jsonio.lorentz_from_json, {"m": 2, "vectors": [[float("-inf"), 0.0]]}),
         (jsonio.lorentz_from_json, {"m": 2, "vectors": [[1.0, None]]}),
+        (jsonio.behavior_from_json,
+         {"mA": 1, "mB": 1, "table": [[[[None]], [[0.5]]], [[[0.25]], [[0.25]]]]}),
     ])
     def test_nonfinite_entries_rejected(self, func, obj):
         with pytest.raises(ValueError, match="must be finite"):
