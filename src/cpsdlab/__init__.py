@@ -13,7 +13,7 @@ from .matcore import (
     trace_inner,
     trace_pairings,
 )
-from .clifford import CliffordBasis, clifford_basis, gamma
+from .clifford import gamma
 from .lorentz import (
     GramLorentzFactorization,
     LorentzVector,

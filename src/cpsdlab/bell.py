@@ -20,7 +20,7 @@ from .lorentz import GramLorentzFactorization, LorentzVector
 
 OUTCOMES = (1, -1)
 
-EXP_FAMILY_CAP = 13  # keeps the associated embeddings within the generator size cap
+EXP_FAMILY_CAP = 13  # input guard on n; the dense factors only fit the byte budget for n <= 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +33,7 @@ class CorrelationMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2:
             raise ValueError("correlation matrix must be two-dimensional")
+        _finite(a, "correlation")
         if np.abs(a).max(initial=0.0) > 1 + 1e-12:
             raise ValueError(f"correlation entries exceed 1 in modulus: {np.abs(a).max():.6f}")
         object.__setattr__(self, "entries", _freeze(a))
@@ -96,7 +97,7 @@ class FullCorrelation:
         if cxy.shape != (cx.size, cy.size):
             raise ValueError("c_xy shape does not match question counts")
         for name, arr in (("c_x", cx), ("c_y", cy), ("c_xy", cxy)):
-            if arr.size and np.abs(arr).max() > 1 + 1e-12:
+            if np.abs(_finite(arr, name)).max(initial=0.0) > 1 + 1e-12:
                 raise ValueError(f"{name} has an entry outside [-1, 1]")
         object.__setattr__(self, "c_x", _freeze(cx))
         object.__setattr__(self, "c_y", _freeze(cy))
@@ -322,7 +323,7 @@ def exponential_family_vectors(n: int) -> np.ndarray:
     return np.stack(rows)
 
 
-def exponential_family(n: int, cap: int = EXP_FAMILY_CAP) -> tuple[CorrelationMatrix, np.ndarray]:
+def exponential_family(n: int) -> tuple[CorrelationMatrix, np.ndarray]:
     """Correlation matrix of size N = 2n^2 + n with rank 2n, and its behavior matrix.
 
     Questions are indexed by 2-element multisets of [2n]: first the multisets
@@ -336,8 +337,8 @@ def exponential_family(n: int, cap: int = EXP_FAMILY_CAP) -> tuple[CorrelationMa
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds the family cap {cap}")
+    if n > EXP_FAMILY_CAP:
+        raise CapExceeded(f"n = {n} exceeds the family cap {EXP_FAMILY_CAP}")
     dim = 2 * n
     pairs = _pair_index(dim)
     inv_s2 = 1.0 / math.sqrt(2.0)
@@ -377,23 +378,10 @@ def validate_affine_section(R: np.ndarray, p: Behavior, tol: float = 1e-10) -> b
     size = 2 * ma + 2 * mb
     if r.shape != (size, size):
         raise ValueError(f"expected a {size} x {size} matrix, got {r.shape}")
-    off = 2 * ma
-    for x in range(ma):
-        for x2 in range(ma):
-            if abs(r[2 * x: 2 * x + 2, 2 * x2: 2 * x2 + 2].sum() - 1.0) > tol:
-                return False
-    for y in range(mb):
-        for y2 in range(mb):
-            blk = r[off + 2 * y: off + 2 * y + 2, off + 2 * y2: off + 2 * y2 + 2]
-            if abs(blk.sum() - 1.0) > tol:
-                return False
-    for x in range(ma):
-        for y in range(mb):
-            blk = r[2 * x: 2 * x + 2, off + 2 * y: off + 2 * y + 2]
-            if abs(blk.sum() - 1.0) > tol:
-                return False
-            for ia in range(2):
-                for ib in range(2):
-                    if abs(blk[ia, ib] - p.table[ia, ib, x, y]) > tol:
-                        return False
-    return True
+    m = ma + mb
+    # blocks[i, j]: sum of the 2 x 2 block of question i (row party first) and question j
+    blocks = r.reshape(m, 2, m, 2).sum(axis=(1, 3))
+    within_and_cross = np.concatenate((blocks[:ma].ravel(), blocks[ma:, ma:].ravel()))
+    cross = r[:2 * ma, 2 * ma:].reshape(ma, 2, mb, 2).transpose(1, 3, 0, 2)
+    return bool(np.all(np.abs(within_and_cross - 1.0) <= tol)
+                and np.all(np.abs(cross - p.table) <= tol))

@@ -1,9 +1,9 @@
 """Batch command-line surface with stable JSON input and output.
 
 One command per process; exit codes are 0 (ok), 2 (invalid input),
-3 (cap exceeded), 4 (verification failed). Failures emit a machine-parseable
-JSON object on stderr. All commands are deterministic: identical input files
-produce byte-identical output.
+3 (size budget exceeded), 4 (verification failed). Failures emit a
+machine-parseable JSON object on stderr. All commands are deterministic:
+identical input files produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bell, cpsdrank, jsonio, lorentz, quantum, separations
-from .clifford import SIZE_CAP
 from .errors import CapExceeded, VerificationError
 from .matcore import HermMatrix, _symmetric, gram_vectors, spectral
 
@@ -150,7 +149,7 @@ def _cmd_factorize(args) -> CommandResult:
     else:
         raise ValueError("input must be a lorentz vector family or a matrix")
     target = lorentz.gl_matrix(fam)
-    fact = lorentz.gl_to_cpsd(fam, cap=args.cap)
+    fact = lorentz.gl_to_cpsd(fam)
     report = cpsdrank.verify_factorization(target, fact, tol=args.tol)
     rank = spectral(target).rank
     size_bound = 2 ** ((rank + 1) // 2)
@@ -238,7 +237,7 @@ def _cmd_behavior(args) -> CommandResult:
                              "(elliptope) correlation matrix")
         U = gram_vectors(M)
     if args.simulate:
-        rep = quantum.representation_from_vectors(U, U, cap=args.cap)
+        rep = quantum.representation_from_vectors(U, U)
         simulated = quantum.simulate_behavior(rep)
         deviation = float(np.abs(simulated.table - p.table).max())
         payload["simulation"] = {"d": rep.d, "max_deviation": deviation}
@@ -269,13 +268,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for completely positive semidefinite matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, tol: bool = False, cap: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, tol: bool = False) -> None:
         if tol:
             p.add_argument("--tol", type=float, default=1e-8,
                            help="verification tolerance (default 1e-8)")
-        if cap:
-            p.add_argument("--cap", type=int, default=SIZE_CAP,
-                           help="size cap for generator constructions")
         p.add_argument("--out", default=None, help="write output JSON here")
 
     g = sub.add_parser("generate", help="emit one of the named matrix families")
@@ -290,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("factorize", help="psd-factorize a cone-vector family "
                                          "or a 2x2 doubly nonnegative matrix")
     f.add_argument("input")
-    common(f, tol=True, cap=True)
+    common(f, tol=True)
     f.set_defaults(handler=_cmd_factorize)
 
     b = sub.add_parser("bound", help="certified factor-size bounds for a matrix")
@@ -310,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="cross-check through the quantum simulation path")
     be.add_argument("--validate", action="store_true",
                     help="check the affine-section normalization of the Gram matrix")
-    common(be, tol=True, cap=True)
+    common(be, tol=True)
     be.set_defaults(handler=_cmd_behavior)
 
     gr = sub.add_parser("graph", help="decide the odd-cycle support property")
@@ -331,8 +327,6 @@ def _fail(status: str, message: str, code: int, extra: dict | None = None) -> in
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cap", SIZE_CAP) < 1:
-        return _fail("invalid-input", "--cap must be positive", EXIT_INVALID_INPUT)
     try:
         result = args.handler(args)
     except CapExceeded as exc:

@@ -1,109 +1,68 @@
 """Anticommuting Hermitian generator families built from Pauli tensor words.
 
-The map gamma sends R^n linearly into Hermitian matrices of size
-d = 2^floor(n/2) so that
+The map gamma sends R^k linearly into Hermitian matrices of size
+d = 2^floor(k/2) so that
 
     gamma(x) gamma(y) + gamma(y) gamma(x) = 2 <x, y> I_d,
 
 which forces Tr(gamma(x) gamma(y)) = d <x, y> and gamma(x)^2 = |x|^2 I_d.
-The generators are the standard Pauli words: with l = floor(n/2),
+gamma(e_i) are the Jordan-Wigner Pauli words: with l = floor(k/2),
 
     gamma(e_i)     = Z^(i-1) (x) X (x) I^(l-i)    for i = 1..l,
     gamma(e_{i+l}) = Z^(i-1) (x) Y (x) I^(l-i)    for i = 1..l,
 
-and for odd n additionally gamma(e_n) = Z^l. Generators are materialized
-densely; requests beyond the size cap are refused rather than computed
-lazily, since every downstream factorization needs dense factors anyway.
+and for odd k additionally gamma(e_k) = Z^l. The words are never built:
+gamma(x) is filled straight from their index pattern. Every dense gamma
+image counts against one byte budget, checked before anything is allocated.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapExceeded
 from .matcore import HermMatrix
 
-SIZE_CAP = 26  # largest n, i.e. generator size up to 2^13 = 8192
-
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+DENSE_BUDGET = 2 ** 30  # bytes of dense complex gamma images one call may build
 
 
-def _word(factors: list[np.ndarray]) -> np.ndarray:
-    out = np.array([[1]], dtype=complex)
-    for f in factors:
-        out = np.kron(out, f)
-    return out
+def _gamma_size(k: int, count: int = 1) -> int:
+    """Size d = 2^floor(k/2) of gamma on R^k; raises CapExceeded when `count`
+    dense images of that size (d^2 complex doubles each) exceed DENSE_BUDGET."""
+    d = 2 ** (k // 2)
+    need = count * d * d * 16
+    if need > DENSE_BUDGET:
+        raise CapExceeded(f"{count} dense {d} x {d} gamma images need {need} bytes, "
+                          f"over the budget of {DENSE_BUDGET} bytes")
+    return d
 
 
-@dataclass(frozen=True, eq=False)
-class CliffordBasis:
-    """The n generators gamma(e_1), ..., gamma(e_n), each of size 2^floor(n/2).
+def gamma(x) -> HermMatrix:
+    """The linear extension sum_i x_i gamma(e_i) for a nonempty real vector x.
 
-    For n >= 2 every generator is traceless; the degenerate n = 1 basis is the
-    1 x 1 matrix [1], which squares to the identity but is not traceless.
-    Immutable after construction, safe to share between threads.
+    Qubit q (bit b = 2^(l-1-q) of the row index r) carries the X- and Y-words
+    of x_q and x_{q+l}; both are nonzero only at (r, r XOR b), where together
+    they read s(r) (x_q + i (2 r_q - 1) x_{q+l}), with r_q the qubit's bit of r
+    and s(r) = (-1)^(set bits of r above b) the sign of the Z-string. For odd k,
+    x_k (-1)^popcount(r) fills the diagonal. Entries accumulate into zeros,
+    so every zero is +0.0 whatever the signs of the zero coordinates.
     """
-
-    n: int
-    d: int
-    generators: tuple[HermMatrix, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.generators) != self.n:
-            raise ValueError("generator count does not match n")
-        for g in self.generators:
-            if g.n != self.d:
-                raise ValueError("generator size does not match d")
-            if self.n >= 2 and abs(np.trace(g.entries)) > 1e-10:
-                raise ValueError("generator is not traceless")
-
-    def validate(self, tol: float = 1e-10) -> None:
-        """Full anticommutation check; O(n^2 d^3), intended for tests."""
-        eye = np.eye(self.d)
-        for i, a in enumerate(self.generators):
-            for j, b in enumerate(self.generators):
-                anti = a.entries @ b.entries + b.entries @ a.entries
-                want = 2.0 * eye if i == j else 0.0 * eye
-                if np.abs(anti - want).max() > tol:
-                    raise ValueError(f"anticommutation fails for generators {i}, {j}")
-
-
-@lru_cache(maxsize=None)
-def _cached_basis(n: int) -> CliffordBasis:
-    half = n // 2
-    d = 2 ** half
-    gens: list[HermMatrix] = []
-    for i in range(1, half + 1):
-        gens.append(HermMatrix(_word([PAULI_Z] * (i - 1) + [PAULI_X] + [PAULI_I] * (half - i))))
-    for i in range(1, half + 1):
-        gens.append(HermMatrix(_word([PAULI_Z] * (i - 1) + [PAULI_Y] + [PAULI_I] * (half - i))))
-    if n % 2:
-        gens.append(HermMatrix(_word([PAULI_Z] * half)))
-    return CliffordBasis(n=n, d=d, generators=tuple(gens))
-
-
-def clifford_basis(n: int, cap: int = SIZE_CAP) -> CliffordBasis:
-    """Generator family for R^n; refuses n above the cap."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds size cap {cap} (generator size 2^{n // 2})")
-    return _cached_basis(n)
-
-
-def gamma(basis: CliffordBasis, x: np.ndarray) -> HermMatrix:
-    """Linear extension sum_i x_i gamma(e_i) of the generator family."""
     v = np.asarray(x, dtype=float)
-    if v.shape != (basis.n,):
-        raise ValueError(f"vector length {v.shape} does not match basis dimension {basis.n}")
-    acc = np.zeros((basis.d, basis.d), dtype=complex)
-    for coeff, g in zip(v, basis.generators):
-        if coeff != 0.0:
-            acc += coeff * g.entries
-    return HermMatrix(acc)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"gamma needs a nonempty vector, got shape {v.shape}")
+    half = v.shape[0] // 2
+    d = _gamma_size(v.shape[0])
+    out = np.zeros((d, d), dtype=complex)
+    r = np.arange(d)
+    sign = np.ones(d)
+    for q in range(half):
+        b = 1 << (half - 1 - q)
+        y_sign = np.where(r & b, 1.0, -1.0)  # 2 r_q - 1
+        pair = np.empty(d, dtype=complex)
+        pair.real = sign * v[q]
+        pair.imag = sign * y_sign * v[q + half]
+        out[r, r ^ b] += pair
+        sign = -sign * y_sign
+    if v.shape[0] % 2:
+        out[r, r] += sign * v[-1]
+    return HermMatrix(out)

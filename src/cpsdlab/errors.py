@@ -2,7 +2,7 @@
 
 
 class CapExceeded(RuntimeError):
-    """A requested construction exceeds a configured size cap."""
+    """A requested construction exceeds a size budget, refused before allocation."""
 
 
 class VerificationError(RuntimeError):

@@ -15,7 +15,9 @@ inner products and no cone memberships.
 
 Gram matrices of cone vectors therefore always admit psd-factor
 factorizations, with factor size controlled by the matrix rank via
-`gl_reduce`.
+`gl_reduce`. The factors are dense, d^2 complex doubles each; a family whose
+factors together exceed `clifford.DENSE_BUDGET` bytes is refused with
+CapExceeded before any factor is built.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import SIZE_CAP, clifford_basis, gamma
+from .clifford import _gamma_size, gamma
 from .cpsdrank import CpsdFactorization
 from .matcore import RANK_TOL, HermMatrix, _freeze, gram_vectors
 
@@ -91,17 +93,16 @@ class GramLorentzFactorization:
         return self.vectors[0].m
 
 
-def lorentz_embed(v: LorentzVector, cap: int = SIZE_CAP) -> HermMatrix:
+def lorentz_embed(v: LorentzVector) -> HermMatrix:
     """Isometric embedding (c I + gamma(x)) / sqrt(d) of a single vector."""
     tail = v.x
     if tail.shape[0] == 1:
         tail = np.array([tail[0], 0.0])
-    k = tail.shape[0]
-    if k == 0:
+    if tail.shape[0] == 0:
         return HermMatrix(np.array([[v.c]], dtype=complex))
-    basis = clifford_basis(k, cap=cap)
-    d = basis.d
-    return HermMatrix((v.c * np.eye(d) + gamma(basis, tail).entries) / np.sqrt(d))
+    g = gamma(tail).entries
+    d = g.shape[0]
+    return HermMatrix((v.c * np.eye(d) + g) / np.sqrt(d))
 
 
 def gl_matrix(f: GramLorentzFactorization) -> np.ndarray:
@@ -132,16 +133,17 @@ def gl_reduce(f: GramLorentzFactorization, rank_tol: float = RANK_TOL) -> GramLo
         vectors=tuple(LorentzVector(v.c, row) for v, row in zip(f.vectors, newtails)))
 
 
-def gl_to_cpsd(f: GramLorentzFactorization, cap: int = SIZE_CAP,
-               rank_tol: float = RANK_TOL) -> CpsdFactorization:
+def gl_to_cpsd(f: GramLorentzFactorization, rank_tol: float = RANK_TOL) -> CpsdFactorization:
     """Psd-factor factorization of gl_matrix(f) via reduce-then-embed.
 
     The factor size is 2^floor(k/2) for k = rank of the reduced tail Gram
     (with k = 1 padded to 2), hence at most 2^floor((rank + 1)/2) for
-    rank = rank(gl_matrix(f)).
+    rank = rank(gl_matrix(f)). Raises CapExceeded before embedding when the
+    dense factors together exceed the gamma byte budget.
     """
     reduced = gl_reduce(f, rank_tol=rank_tol)
-    factors = tuple(lorentz_embed(v, cap=cap) for v in reduced.vectors)
+    _gamma_size(reduced.m - 1, count=reduced.n)
+    factors = tuple(lorentz_embed(v) for v in reduced.vectors)
     return CpsdFactorization(d=factors[0].n, factors=factors)
 
 

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import Behavior, FullCorrelation, OUTCOMES
-from .clifford import clifford_basis, gamma
+from .clifford import _gamma_size, gamma
 from .errors import CapExceeded
 from .matcore import HermMatrix, _unit_rows, spectral
 
-IDENTITY_PATH_CAP = 4096
 EXPLICIT_PATH_CAP = 64
 
 MAX_ENTANGLED = "max_entangled"
@@ -100,7 +99,7 @@ def entangled_trace_identity(A: HermMatrix, B: HermMatrix) -> tuple[float, float
     return lhs, rhs
 
 
-def representation_from_vectors(U, V, cap: int | None = None) -> QuantumRepresentation:
+def representation_from_vectors(U, V) -> QuantumRepresentation:
     """Observables gamma(u_x) and gamma(v_y)^T from unit vectors, maximally
     entangled state implied.
 
@@ -108,7 +107,8 @@ def representation_from_vectors(U, V, cap: int | None = None) -> QuantumRepresen
     real vector the transpose of gamma(v) is a different matrix (the Y-words
     are imaginary) and dropping it breaks the pairing identity. Ambient
     dimension 1 is padded to 2 so the observables stay traceless and the
-    resulting behavior unbiased.
+    resulting behavior unbiased. Raises CapExceeded before building any
+    observable when they together exceed the gamma byte budget.
     """
     u = _unit_rows(U, "row")
     v = _unit_rows(V, "column")
@@ -117,11 +117,10 @@ def representation_from_vectors(U, V, cap: int | None = None) -> QuantumRepresen
     if u.shape[1] == 1:
         u = np.hstack([u, np.zeros((u.shape[0], 1))])
         v = np.hstack([v, np.zeros((v.shape[0], 1))])
-    k = u.shape[1]
-    basis = clifford_basis(k) if cap is None else clifford_basis(k, cap=cap)
-    rows = tuple(gamma(basis, row) for row in u)
-    cols = tuple(HermMatrix(gamma(basis, row).entries.T) for row in v)
-    return QuantumRepresentation(d=basis.d, row_observables=rows, col_observables=cols)
+    d = _gamma_size(u.shape[1], count=u.shape[0] + v.shape[0])
+    rows = tuple(gamma(row) for row in u)
+    cols = tuple(HermMatrix(gamma(row).entries.T) for row in v)
+    return QuantumRepresentation(d=d, row_observables=rows, col_observables=cols)
 
 
 def povm_pair(obs: HermMatrix) -> tuple[HermMatrix, HermMatrix]:
@@ -151,8 +150,6 @@ def _expectations(rep: QuantumRepresentation) -> tuple[np.ndarray, np.ndarray, n
                          for nn in rep.col_observables]
                         for m in rep.row_observables])
         return ex, ey, exy
-    if d > IDENTITY_PATH_CAP:
-        raise CapExceeded(f"pairing-identity path capped at d = {IDENTITY_PATH_CAP}")
     ex = np.array([np.trace(m.entries).real / d for m in rep.row_observables])
     ey = np.array([np.trace(nn.entries).real / d for nn in rep.col_observables])
     # Tr(M N^T) = sum of M o N: one unconjugated dot per pair, no stacked copies

@@ -417,9 +417,9 @@ def is_cpsd_graph(G: Graph):
     1993). Each block of >= 5 vertices is two-colored breadth-first from its
     least vertex; an odd cycle of length >= 5 found there is the witness,
     and a triangle is settled by `_beyond_triangle`. Time is linear in the
-    size of G after sorting neighbor lists, and there is no vertex cap. The witness is deterministic and
-    rotated to start at its least vertex, followed by the lesser of that
-    vertex's two cycle neighbors.
+    size of G after sorting neighbor lists, and there is no vertex cap. The
+    witness is deterministic and rotated to start at its least vertex,
+    followed by the lesser of that vertex's two cycle neighbors.
     """
     for edges in _blocks(G.neighbor_lists()):
         nbr: dict[int, list[int]] = {}

@@ -11,6 +11,11 @@ import pytest
 
 DEFAULT_SEED = 20260809
 
+PAULI_I = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
 
 def make_rng(salt: int = 0) -> np.random.Generator:
     seed = int(os.environ.get("CPSDLAB_SEED", DEFAULT_SEED))

@@ -59,6 +59,18 @@ class TestCorrelationType:
         with pytest.raises(ValueError, match="modulus"):
             CorrelationMatrix(np.array([[1.2]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="correlation entries must be finite"):
+            CorrelationMatrix([[bad, 0.5]])
+
+    @pytest.mark.parametrize("which", ["c_x", "c_y", "c_xy"])
+    def test_nonfinite_expectations_rejected(self, which):
+        parts = {"c_x": [0.0], "c_y": [0.0], "c_xy": [[0.0]]}
+        parts[which] = np.full(np.shape(parts[which]), np.nan)
+        with pytest.raises(ValueError, match=f"{which} entries must be finite"):
+            FullCorrelation(**parts)
+
 
 class TestExpectationMaps:
     def test_uniform_maps_to_zero(self):
@@ -397,3 +409,40 @@ class TestAffineSection:
     def test_layout_mismatch_rejected(self):
         with pytest.raises(ValueError, match="expected"):
             validate_affine_section(np.eye(7), behavior_from_correlation(np.zeros((2, 2))))
+
+    @staticmethod
+    def rectangular_section(rng):
+        """A valid Gram matrix R for 2 row and 3 column questions, R writable,
+        and its behavior; the offset of the column party is 4."""
+        U = rng.standard_normal((2, 3))
+        V = rng.standard_normal((3, 3))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        R = gl_matrix(gl_behavior_factorization(U @ V.T, U, V)).copy()
+        p = behavior_from_correlation(U @ V.T)
+        assert validate_affine_section(R, p)
+        return R, p
+
+    def test_row_party_block_sum_fails(self, rng):
+        R, p = self.rectangular_section(rng)
+        R[0, 3] += 1e-6  # block of questions x = 0, x' = 1
+        assert not validate_affine_section(R, p)
+
+    def test_column_party_block_sum_fails(self, rng):
+        R, p = self.rectangular_section(rng)
+        R[4 + 5, 4 + 0] += 1e-6  # block of questions y = 2, y' = 0
+        assert not validate_affine_section(R, p)
+
+    def test_cross_block_sum_fails(self, rng):
+        # every entry of the block x = 1, y = 2 stays within tol of p(ab|xy),
+        # only their sum is off by 4 * 0.4 tol
+        R, p = self.rectangular_section(rng)
+        R[2:4, 4 + 4: 4 + 6] += 0.4e-10
+        assert not validate_affine_section(R, p)
+
+    def test_single_cross_entry_fails(self, rng):
+        # the block x = 1, y = 0 still sums to 1, one pair of entries disagrees with p
+        R, p = self.rectangular_section(rng)
+        R[3, 4 + 0] += 1e-6
+        R[3, 4 + 1] -= 1e-6
+        assert not validate_affine_section(R, p)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,12 +216,20 @@ class TestFactorize:
         assert verify_factorization(target, fact, tol=1e-8).ok
 
     def test_cap_exceeded_exit_code(self, capsys, tmp_path):
-        # 4 vectors need generators of size 2^2
-        vectors = [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 1, 0], [1, 0, 0, 0, 1]]
-        path = write_json(tmp_path, "v.json", {"m": 5, "vectors": vectors})
-        code, _, err = run_cli(capsys, "factorize", path, "--cap", "2")
+        # the 60 tails (1, e_i) span R^60: one factor would be 2^30 x 2^30,
+        # refused from the byte estimate with nothing large allocated
+        vectors = np.hstack([np.ones((60, 1)), np.eye(60)]).tolist()
+        path = write_json(tmp_path, "v.json", {"m": 61, "vectors": vectors})
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, "factorize", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 3
         assert json.loads(err)["status"] == "cap-exceeded"
+        assert "budget" in json.loads(err)["error"]
+        assert peak < 16 * 2 ** 20
 
 
 class TestBound:

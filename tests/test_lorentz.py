@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_rng
+from cpsdlab import lorentz
 from cpsdlab.bell import behavior_matrix, exponential_family_vectors
 from cpsdlab.cpsdrank import verify_factorization
+from cpsdlab.errors import CapExceeded
 from cpsdlab.lorentz import (
     GramLorentzFactorization,
     LorentzVector,
@@ -61,6 +63,11 @@ class TestEmbed:
         for m in (3, 5, 8):
             e = lorentz_embed(LorentzVector(1.0, np.zeros(m - 1)))
             assert np.allclose(e.entries, np.eye(e.n) / math.sqrt(e.n))
+
+    def test_budget_refuses_a_huge_factor(self):
+        # m = 61 needs one 2^30 x 2^30 factor: refused from the estimate
+        with pytest.raises(CapExceeded, match="budget"):
+            lorentz_embed(LorentzVector(1.0, np.zeros(60)))
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_isometry(self, m):
@@ -178,15 +185,14 @@ class TestGlToCpsd:
     def test_unreduced_embedding_matches_closed_form_factors(self):
         # embedding (1/2, a w/2) directly must give (I + a gamma(w))/2 scaled
         # by 1/sqrt(d), the explicit psd factor family of the behavior matrix
-        from cpsdlab.clifford import clifford_basis, gamma
+        from cpsdlab.clifford import gamma
 
         W = exponential_family_vectors(1)
-        basis = clifford_basis(2)
-        d = basis.d
+        d = 2
         for a in (1, -1):
             for w in W:
                 got = lorentz_embed(LorentzVector(0.5, 0.5 * a * w))
-                want = (np.eye(d) + a * gamma(basis, w).entries) / 2 / math.sqrt(d)
+                want = (np.eye(d) + a * gamma(w).entries) / 2 / math.sqrt(d)
                 assert np.abs(got.entries - want).max() < 1e-15
 
     def test_random_families_verify_and_respect_size_bound(self, rng):
@@ -197,6 +203,20 @@ class TestGlToCpsd:
                 fact = gl_to_cpsd(fam)
                 assert verify_factorization(X, fact).ok
                 assert fact.d <= 2 ** ((spectral(X).rank + 1) // 2)
+
+    def test_budget_checked_for_the_whole_family_before_embedding(self, monkeypatch):
+        # exp-family n = 9: each 512 x 512 factor fits the budget, the 342 of
+        # them (1.34 GiB) do not, and none may be built before the refusal
+        W = exponential_family_vectors(9)
+        fam = GramLorentzFactorization(vectors=tuple(
+            LorentzVector(0.5, 0.5 * a * w) for a in (1, -1) for w in W))
+
+        def refuse(v):
+            raise AssertionError("embedded a factor before checking the budget")
+
+        monkeypatch.setattr(lorentz, "lorentz_embed", refuse)
+        with pytest.raises(CapExceeded, match="342 dense 512 x 512"):
+            gl_to_cpsd(fam)
 
     def test_zero_family_collapses_to_trivial_factors(self):
         fam = GramLorentzFactorization(vectors=(vec(0, 0, 0), vec(1, 0, 0)))

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     five_factor_example,
     make_rng,
     pairing_tol,
@@ -11,7 +14,6 @@ from conftest import (
     random_psd,
     span_dim_by_qr,
 )
-from cpsdlab.clifford import PAULI_X, PAULI_Y, PAULI_Z
 from cpsdlab.matcore import (
     HermMatrix,
     direct_sum,

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import pairing_tol, random_elliptope
-from cpsdlab.bell import behavior_from_correlation, behavior_to_full, no_signaling_check
-from cpsdlab.clifford import PAULI_X, PAULI_Y, PAULI_Z
+from conftest import PAULI_X, PAULI_Y, PAULI_Z, pairing_tol, random_elliptope
+from cpsdlab import quantum
+from cpsdlab.bell import (behavior_from_correlation, behavior_to_full,
+                          exponential_family_vectors, no_signaling_check)
+from cpsdlab.errors import CapExceeded
 from cpsdlab.matcore import HermMatrix, gram_vectors, spectral
 from cpsdlab.quantum import (
     povm_pair,
@@ -228,3 +230,14 @@ class TestRepresentationValidation:
         with pytest.raises(ValueError, match="psd"):
             QuantumRepresentation(d=2, row_observables=(eye,), col_observables=(eye,),
                                   state=HermMatrix(bad))
+
+    def test_budget_checked_before_building_observables(self, monkeypatch):
+        # exp-family n = 9: 2 x 171 observables of size 512 exceed the budget
+        W = exponential_family_vectors(9)
+
+        def refuse(x):
+            raise AssertionError("built an observable before checking the budget")
+
+        monkeypatch.setattr(quantum, "gamma", refuse)
+        with pytest.raises(CapExceeded, match="342 dense 512 x 512"):
+            representation_from_vectors(W, W)

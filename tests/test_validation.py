@@ -310,10 +310,6 @@ class TestCliRejections:
         assert main(["behavior", str(path), "--simulate"]) == 2
         capsys.readouterr()
 
-    def test_nonpositive_cap(self, capsys):
-        assert main(["factorize", "whatever.json", "--cap", "0"]) == 2
-        assert "--cap" in json.loads(capsys.readouterr().err)["error"]
-
     @pytest.mark.parametrize("argv", [
         ["generate", "cycle-sep", "--n", "6", "--cap", "4"],
         ["generate", "cycle-sep", "--n", "6", "--tol", "1e-6"],
@@ -321,6 +317,8 @@ class TestCliRejections:
         ["graph", "g.json", "--tol", "1e-6"],
         ["bound", "m.json", "--cap", "4"],
         ["factorize", "v.json", "--format", "json"],
+        ["factorize", "v.json", "--cap", "2"],
+        ["behavior", "c.json", "--cap", "2"],
     ])
     def test_unread_flags_not_accepted(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
