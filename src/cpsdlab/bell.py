@@ -370,8 +370,9 @@ def validate_affine_section(R: np.ndarray, p: Behavior, tol: float = 1e-10) -> b
 
     R is indexed question-major: rows/columns 2x + ia for the row party
     (ia = 0 for outcome +1), then an offset block 2y + ib for the column
-    party. Within-party 2x2 blocks must sum to 1, cross-party blocks must sum
-    to 1, and each cross-party entry must equal p(ab|xy).
+    party. R must be symmetric, within-party 2x2 blocks must sum to 1,
+    cross-party blocks must sum to 1, and each cross-party entry must equal
+    p(ab|xy); every comparison is within `tol`.
     """
     ma, mb = p.m_a, p.m_b
     r = np.asarray(R, dtype=float)
@@ -383,5 +384,6 @@ def validate_affine_section(R: np.ndarray, p: Behavior, tol: float = 1e-10) -> b
     blocks = r.reshape(m, 2, m, 2).sum(axis=(1, 3))
     within_and_cross = np.concatenate((blocks[:ma].ravel(), blocks[ma:, ma:].ravel()))
     cross = r[:2 * ma, 2 * ma:].reshape(ma, 2, mb, 2).transpose(1, 3, 0, 2)
-    return bool(np.all(np.abs(within_and_cross - 1.0) <= tol)
+    return bool(np.all(np.abs(r - r.T) <= tol)
+                and np.all(np.abs(within_and_cross - 1.0) <= tol)
                 and np.all(np.abs(cross - p.table) <= tol))

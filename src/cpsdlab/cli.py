@@ -1,14 +1,24 @@
 """Batch command-line surface with stable JSON input and output.
 
-One command per process; exit codes are 0 (ok), 2 (invalid input),
-3 (size budget exceeded), 4 (verification failed). Failures emit a
-machine-parseable JSON object on stderr. All commands are deterministic:
-identical input files produce byte-identical output.
+Exit codes are 0 (ok), 2 (invalid input), 3 (size budget exceeded),
+4 (verification failed). Failures emit a machine-parseable JSON object on
+stderr. All commands are deterministic: identical input files produce
+byte-identical output.
+
+`main` may also be called many times in one process. The calls share one
+argument parser, built on the first call, and each command runs with the
+cyclic garbage collector paused; `main` re-enables it on return, also on
+`SystemExit` and unexpected exceptions, unless the caller had disabled it.
+The pause is process-wide: threads calling `main` concurrently may re-enable
+the collector while another command still runs, which costs speed, never
+correctness.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import sys
 from dataclasses import dataclass, field
 
@@ -261,6 +271,7 @@ def _cmd_graph(args) -> CommandResult:
 
 # entry point -----------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpsdlab",
@@ -325,8 +336,19 @@ def _fail(status: str, message: str, code: int, extra: dict | None = None) -> in
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # the parsed JSON holds many small acyclic lists that the cyclic collector
+    # would only re-traverse; the caller's collector state comes back on exit
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv) -> int:
+    args = _build_parser().parse_args(argv)
     try:
         result = args.handler(args)
     except CapExceeded as exc:

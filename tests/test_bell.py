@@ -423,26 +423,46 @@ class TestAffineSection:
         assert validate_affine_section(R, p)
         return R, p
 
+    @staticmethod
+    def bump(R, rows, cols, delta):
+        """Add delta to R[rows, cols] and its mirror, so R stays symmetric and
+        only the checked normalization can fail."""
+        R[rows, cols] += delta
+        R[cols, rows] += delta
+
     def test_row_party_block_sum_fails(self, rng):
         R, p = self.rectangular_section(rng)
-        R[0, 3] += 1e-6  # block of questions x = 0, x' = 1
+        self.bump(R, 0, 3, 1e-6)  # block of questions x = 0, x' = 1
         assert not validate_affine_section(R, p)
 
     def test_column_party_block_sum_fails(self, rng):
         R, p = self.rectangular_section(rng)
-        R[4 + 5, 4 + 0] += 1e-6  # block of questions y = 2, y' = 0
+        self.bump(R, 4 + 5, 4 + 0, 1e-6)  # block of questions y = 2, y' = 0
         assert not validate_affine_section(R, p)
 
     def test_cross_block_sum_fails(self, rng):
         # every entry of the block x = 1, y = 2 stays within tol of p(ab|xy),
         # only their sum is off by 4 * 0.4 tol
         R, p = self.rectangular_section(rng)
-        R[2:4, 4 + 4: 4 + 6] += 0.4e-10
+        self.bump(R, slice(2, 4), slice(4 + 4, 4 + 6), 0.4e-10)
         assert not validate_affine_section(R, p)
 
     def test_single_cross_entry_fails(self, rng):
         # the block x = 1, y = 0 still sums to 1, one pair of entries disagrees with p
         R, p = self.rectangular_section(rng)
-        R[3, 4 + 0] += 1e-6
-        R[3, 4 + 1] -= 1e-6
+        self.bump(R, 3, 4 + 0, 1e-6)
+        self.bump(R, 3, 4 + 1, -1e-6)
         assert not validate_affine_section(R, p)
+
+    @pytest.mark.parametrize("i, j", [(4, 0), (6, 1), (0, 4), (1, 0)])
+    def test_asymmetric_section_fails(self, i, j):
+        # the valid 8 x 8 section for C = I_2, one entry off its mirror; an
+        # entry below the diagonal in the cross blocks is in no other check
+        C = np.eye(2)
+        R = gl_matrix(gl_behavior_factorization(C, C, C)).copy()
+        p = behavior_from_correlation(C)
+        entry = R[i, j]
+        R[i, j] = entry + 5.0
+        assert not validate_affine_section(R, p)
+        R[i, j] = entry + 1e-11  # asymmetry inside the default tol
+        assert validate_affine_section(R, p)

@@ -1,12 +1,17 @@
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import five_factor_example
-from cpsdlab import jsonio
+from cpsdlab import cli, jsonio, separations
 from cpsdlab.bell import behavior_from_correlation, exponential_family
 from cpsdlab.cli import main
 from cpsdlab.cpsdrank import CpsdFactorization, verify_factorization
@@ -17,7 +22,10 @@ from cpsdlab.separations import Graph
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors and --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -425,3 +433,123 @@ class TestDeterminism:
         _, second, _ = run_cli(capsys, *argv)
         assert code == 0 and first == second
         assert jsonio.dumps(json.loads(first)) + "\n" == first
+
+
+def run_fresh(argv):
+    """The same command in a new `python -m cpsdlab.cli` process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cpsdlab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Input files for one command of each exit code."""
+    X, factors = five_factor_example()
+    exact = CpsdFactorization(
+        d=4, factors=tuple(HermMatrix(f.astype(complex)) for f in factors))
+    # factors off by a relative 1e-6: verified at --tol 1e-3, refused at the default
+    near = CpsdFactorization(d=4, factors=tuple(
+        HermMatrix((1 + 1e-6) * f.astype(complex)) for f in factors))
+    # the 60 tails (1, e_i): refused by the byte budget before any allocation
+    tails = np.hstack([np.ones((60, 1)), np.eye(60)]).tolist()
+    return {
+        "x": write_json(tmp_path, "x.json", jsonio.matrix_to_json(X)),
+        "2x": write_json(tmp_path, "x2.json", jsonio.matrix_to_json(2 * X)),
+        "exact": write_json(tmp_path, "f.json", jsonio.factorization_to_json(exact)),
+        "near": write_json(tmp_path, "n.json", jsonio.factorization_to_json(near)),
+        "diag": write_json(tmp_path, "d.json", jsonio.matrix_to_json(np.diag([1.0, 100.0]))),
+        "vecs": write_json(tmp_path, "v.json",
+                           jsonio.lorentz_to_json(separations.cycle_vectors(6))),
+        "tails": write_json(tmp_path, "t.json", {"m": 61, "vectors": tails}),
+        "corr": write_json(tmp_path, "c.json",
+                           jsonio.matrix_to_json(exponential_family(2)[0].entries)),
+        "c5": write_json(tmp_path, "g.json", jsonio.graph_to_json(
+            Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))),
+        "missing": str(tmp_path / "missing.json"),
+        "out": str(tmp_path / "out.json"),
+    }
+
+
+class TestInProcessReuse:
+    def test_mixed_sequence_matches_fresh_processes(self, capsys, inputs, monkeypatch):
+        # argparse wraps usage text at the terminal width it sees at format time
+        monkeypatch.setenv("COLUMNS", "80")
+        f = inputs
+        sequence = [
+            (["bound", f["x"], "--verify", f["near"], "--tol", "1e-3"], 0),
+            (["bound", f["x"], "--verify", f["near"]], 4),
+            (["bound", f["diag"], "--scale-search"], 0),
+            (["bound", f["diag"]], 0),
+            (["graph"], 2),  # usage error: no input
+            (["graph", f["missing"]], 2),
+            (["factorize", f["tails"]], 3),
+            (["generate", "exp-family", "--n", "2"], 0),
+            (["generate", "eij-gram", "--r", "3", "--out", f["out"]], 0),
+            (["factorize", f["vecs"]], 0),
+            (["behavior", f["corr"], "--simulate", "--validate"], 0),
+            (["graph", f["c5"]], 0),
+        ]
+        out = Path(f["out"])
+        cli._build_parser.cache_clear()
+        in_process = []
+        for argv, code in sequence:
+            result = run_cli(capsys, *argv)
+            assert result[0] == code, (argv, result)
+            in_process.append((result, out.read_bytes() if "--out" in argv else None))
+        assert cli._build_parser.cache_info().misses == 1
+        for (argv, _), (result, written) in zip(sequence, in_process):
+            assert run_fresh(argv) == result, argv
+            if written is not None:
+                assert out.read_bytes() == written
+
+
+class TestCollectorPause:
+    @pytest.fixture
+    def loads_spy(self, monkeypatch):
+        """Record gc.isenabled() whenever a command parses an input file;
+        raise `fail` from there if it is set."""
+        real = jsonio.loads
+
+        def spy(text):
+            spy.seen.append(gc.isenabled())
+            if spy.fail is not None:
+                raise spy.fail
+            return real(text)
+
+        spy.seen, spy.fail = [], None
+        monkeypatch.setattr(jsonio, "loads", spy)
+        yield spy
+        gc.enable()
+
+    @pytest.mark.parametrize("case, code", [
+        ("ok", 0), ("invalid", 2), ("cap", 3), ("verification", 4),
+        ("usage", 2), ("help", 0)])
+    def test_paused_inside_and_restored_after(self, capsys, loads_spy, inputs, case, code):
+        f = inputs
+        argv = {"ok": ["graph", f["c5"]],
+                "invalid": ["graph", f["missing"]],
+                "cap": ["factorize", f["tails"]],
+                "verification": ["bound", f["2x"], "--verify", f["exact"]],
+                "usage": ["graph", f["c5"], "--no-such-flag"],
+                "help": ["graph", "--help"]}[case]
+        assert gc.isenabled()
+        assert run_cli(capsys, *argv)[0] == code
+        assert gc.isenabled()
+        if case in ("ok", "cap", "verification"):  # the others parse no input file
+            assert loads_spy.seen and not any(loads_spy.seen)
+
+    def test_restored_after_an_unexpected_exception(self, loads_spy, inputs):
+        loads_spy.fail = RuntimeError("unexpected")
+        with pytest.raises(RuntimeError, match="unexpected"):
+            main(["graph", inputs["c5"]])
+        assert loads_spy.seen == [False]
+        assert gc.isenabled()
+
+    def test_stays_off_when_the_caller_turned_it_off(self, capsys, loads_spy, inputs):
+        gc.disable()
+        assert run_cli(capsys, "graph", inputs["c5"])[0] == 0
+        assert run_cli(capsys, "graph")[0] == 2
+        assert not gc.isenabled()
+        assert loads_spy.seen == [False]
