@@ -13,7 +13,7 @@ from .matcore import (
     trace_inner,
     trace_pairings,
 )
-from .clifford import gamma
+from .clifford import gamma, gammas
 from .lorentz import (
     GramLorentzFactorization,
     LorentzVector,

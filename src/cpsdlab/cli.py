@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -347,9 +348,18 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def _check_tol(args) -> None:
+    """--tol must be finite and nonnegative: NaN or infinity would pass every
+    numerical check vacuously, and a negative tolerance would fail them all."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"--tol must be a finite nonnegative number, got {tol!r}")
+
+
 def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_tol(args)
         result = args.handler(args)
     except CapExceeded as exc:
         return _fail("cap-exceeded", str(exc), EXIT_CAP_EXCEEDED)

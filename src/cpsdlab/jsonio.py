@@ -166,9 +166,17 @@ def graph_from_json(obj: dict) -> Graph:
 def representation_to_json(rep: QuantumRepresentation) -> dict:
     state = MAX_ENTANGLED if rep.state == MAX_ENTANGLED else matrix_to_json(rep.state)
     return {"d": rep.d,
-            "M": [matrix_to_json(m) for m in rep.row_observables],
-            "N": [matrix_to_json(m) for m in rep.col_observables],
+            "M": [matrix_to_json(HermMatrix(m)) for m in rep.row_observables],
+            "N": [matrix_to_json(HermMatrix(m)) for m in rep.col_observables],
             "state": state}
+
+
+def _stack_from_json(objs, side: str) -> np.ndarray:
+    """The matrices of one party as one complex stack."""
+    mats = [_herm_from_json(m).entries for m in objs]
+    if len({m.shape for m in mats}) > 1:
+        raise ValueError(f"{side} observables have different sizes")
+    return np.array(mats, dtype=complex)
 
 
 def representation_from_json(obj: dict) -> QuantumRepresentation:
@@ -181,8 +189,8 @@ def representation_from_json(obj: dict) -> QuantumRepresentation:
         raise ValueError(f"malformed representation JSON: {exc}") from exc
     parsed_state = state if state == MAX_ENTANGLED else _herm_from_json(state)
     return QuantumRepresentation(d=d,
-                                 row_observables=tuple(_herm_from_json(m) for m in rows),
-                                 col_observables=tuple(_herm_from_json(m) for m in cols),
+                                 row_observables=_stack_from_json(rows, "row"),
+                                 col_observables=_stack_from_json(cols, "column"),
                                  state=parsed_state)
 
 

@@ -1,13 +1,16 @@
 """State-vector simulation of two-party binary-outcome measurements.
 
-A representation holds +-1-valued observables for each party and a shared
-state, by default the maximally entangled state held implicitly. Behavior
-tables are computed two ways: through the pairing identity
+A representation holds each party's observables, Hermitian with spectrum in
+[-1, 1], as one read-only (m, d, d) stack, and a shared state, by default
+the maximally entangled state held implicitly. Behavior tables are computed
+two ways: through the pairing identity
 
     Psi_d* (A (x) B) Psi_d = Tr(A B^T) / d,
 
-which never materializes d^2-sized operators, and through an explicit
-state-vector path used as an independent cross-check at small sizes.
+which never materializes d^2-sized operators and pairs every row observable
+with every column observable in one product of the flattened stacks, and
+through an explicit state-vector path used as an independent cross-check at
+small sizes.
 """
 
 from __future__ import annotations
@@ -17,39 +20,89 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import Behavior, FullCorrelation, OUTCOMES
-from .clifford import _gamma_size, gamma
+from .clifford import _gamma_size, gammas
 from .errors import CapExceeded
-from .matcore import HermMatrix, _unit_rows, spectral
+from .matcore import HERM_TOL, HermMatrix, _finite, _freeze, _unit_rows, spectral
 
 EXPLICIT_PATH_CAP = 64
+SPECTRUM_TOL = 1e-9  # observable eigenvalues may exceed 1 in size by this much
 
 MAX_ENTANGLED = "max_entangled"
 
 
+def _within_unit_interval(m: np.ndarray) -> bool:
+    """Whether every eigenvalue of the Hermitian matrix m lies in
+    [-1 - SPECTRUM_TOL, 1 + SPECTRUM_TOL].
+
+    Each eigenvalue of m satisfies |lambda^2 - 1| <= ||m^2 - I||_F, so a
+    residual of at most 2 SPECTRUM_TOL gives |lambda| <= 1 + SPECTRUM_TOL
+    without an eigendecomposition; an involution such as gamma(u) with
+    |u| = 1 passes this way. Any other observable is decided by its
+    eigenvalues.
+    """
+    sq = m @ m
+    sq.flat[:: len(m) + 1] -= 1.0
+    if np.linalg.norm(sq) <= 2 * SPECTRUM_TOL:
+        return True
+    w = spectral(m).eigenvalues
+    return bool(w[0] >= -1 - SPECTRUM_TOL and w[-1] <= 1 + SPECTRUM_TOL)
+
+
+def _observable_stack(obs, d: int, side: str) -> np.ndarray:
+    """obs as a read-only (m, d, d) complex stack of m >= 1 Hermitian
+    matrices with spectrum in [-1, 1]; raises ValueError naming the party
+    otherwise.
+
+    Asymmetry up to HERM_TOL is round-off and is removed by symmetrizing,
+    as HermMatrix does. An exactly Hermitian stack is kept as it is, and
+    copied only when it is writable or not in C order; a read-only input is
+    trusted not to change.
+    """
+    s = np.asarray(obs, dtype=complex)
+    if s.ndim >= 1 and len(s) == 0:
+        raise ValueError(f"each party needs at least one observable, "
+                         f"the {side} party has none")
+    if s.ndim != 3 or s.shape[1:] != (d, d):
+        raise ValueError(f"{side} observables: expected a stack of matrices of "
+                         f"size d = {d}, got shape {s.shape}")
+    _finite(s, f"{side} observable")
+    asym = max(float(np.abs(m - m.conj().T).max()) for m in s)
+    if asym > HERM_TOL:
+        raise ValueError(f"{side} observable is not Hermitian: asymmetry "
+                         f"{asym:.3e} > {HERM_TOL:.0e}")
+    if asym > 0.0:
+        s = np.ascontiguousarray((s + s.conj().transpose(0, 2, 1)) / 2)
+    elif s.flags.writeable or not s.flags.c_contiguous:
+        s = s.copy()  # C order, so the pairing's reshapes are views
+    for m in s:
+        if not _within_unit_interval(m):
+            raise ValueError(f"{side} observable has an eigenvalue outside [-1, 1]")
+    return _freeze(s)
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumRepresentation:
-    """Observables M_x, N_y with eigenvalues in [-1, 1] and a shared state.
+    """Observables M_x, N_y and a shared state.
 
-    ``state`` is either the literal ``"max_entangled"`` (the canonical
-    maximally entangled state of local dimension d, held implicitly) or an
-    explicit density matrix of size d^2 (psd, unit trace).
+    ``row_observables`` and ``col_observables`` are read-only complex stacks
+    of shape (m_a, d, d) and (m_b, d, d). Each stack is validated once, here:
+    at least one matrix, finite entries, Hermitian up to ``HERM_TOL`` and
+    every eigenvalue in [-1, 1] up to ``SPECTRUM_TOL``. ``state`` is either the literal
+    ``"max_entangled"`` (the canonical maximally entangled state of local
+    dimension d, held implicitly) or an explicit density matrix of size d^2
+    (psd, unit trace).
     """
 
     d: int
-    row_observables: tuple[HermMatrix, ...]
-    col_observables: tuple[HermMatrix, ...]
+    row_observables: np.ndarray
+    col_observables: np.ndarray
     state: str | HermMatrix = MAX_ENTANGLED
 
     def __post_init__(self) -> None:
-        for side in (self.row_observables, self.col_observables):
-            if not side:
-                raise ValueError("each party needs at least one observable")
-            for obs in side:
-                if obs.n != self.d:
-                    raise ValueError("observable size does not match d")
-                w = spectral(obs).eigenvalues
-                if w[0] < -1 - 1e-9 or w[-1] > 1 + 1e-9:
-                    raise ValueError("observable has an eigenvalue outside [-1, 1]")
+        object.__setattr__(self, "row_observables",
+                           _observable_stack(self.row_observables, self.d, "row"))
+        object.__setattr__(self, "col_observables",
+                           _observable_stack(self.col_observables, self.d, "column"))
         if isinstance(self.state, HermMatrix):
             if self.state.n != self.d * self.d:
                 raise ValueError("explicit state must have size d^2")
@@ -103,12 +156,14 @@ def representation_from_vectors(U, V) -> QuantumRepresentation:
     """Observables gamma(u_x) and gamma(v_y)^T from unit vectors, maximally
     entangled state implied.
 
-    The transpose on the column side is entrywise and never skipped; for a
-    real vector the transpose of gamma(v) is a different matrix (the Y-words
-    are imaginary) and dropping it breaks the pairing identity. Ambient
-    dimension 1 is padded to 2 so the observables stay traceless and the
-    resulting behavior unbiased. Raises CapExceeded before building any
-    observable when they together exceed the gamma byte budget.
+    The transpose on the column side is never skipped; for a real vector the
+    transpose of gamma(v) is a different matrix (the Y-words are imaginary)
+    and dropping it breaks the pairing identity. gamma(v) is exactly
+    Hermitian, so its transpose is its entrywise conjugate, taken in place on
+    the column stack. Ambient dimension 1 is padded to 2 so the observables
+    stay traceless and the resulting behavior unbiased. Raises CapExceeded
+    before building any observable when they together exceed the gamma byte
+    budget.
     """
     u = _unit_rows(U, "row")
     v = _unit_rows(V, "column")
@@ -118,9 +173,12 @@ def representation_from_vectors(U, V) -> QuantumRepresentation:
         u = np.hstack([u, np.zeros((u.shape[0], 1))])
         v = np.hstack([v, np.zeros((v.shape[0], 1))])
     d = _gamma_size(u.shape[1], count=u.shape[0] + v.shape[0])
-    rows = tuple(gamma(row) for row in u)
-    cols = tuple(HermMatrix(gamma(row).entries.T) for row in v)
-    return QuantumRepresentation(d=d, row_observables=rows, col_observables=cols)
+    rows = gammas(u)
+    cols = gammas(v)
+    # 0 - y rather than -y: zero imaginary parts stay +0.0, as in gamma(v)^T
+    np.subtract(0.0, cols.imag, out=cols.imag)
+    return QuantumRepresentation(d=d, row_observables=_freeze(rows),
+                                 col_observables=_freeze(cols))
 
 
 def povm_pair(obs: HermMatrix) -> tuple[HermMatrix, HermMatrix]:
@@ -142,20 +200,20 @@ def _expectations(rep: QuantumRepresentation) -> tuple[np.ndarray, np.ndarray, n
             raise CapExceeded(f"explicit-state path capped at d = {EXPLICIT_PATH_CAP}")
         rho = rep.state.entries
         eye = np.eye(d)
-        ex = np.array([np.trace(np.kron(m.entries, eye) @ rho).real
+        ex = np.array([np.trace(np.kron(m, eye) @ rho).real
                        for m in rep.row_observables])
-        ey = np.array([np.trace(np.kron(eye, nn.entries) @ rho).real
+        ey = np.array([np.trace(np.kron(eye, nn) @ rho).real
                        for nn in rep.col_observables])
-        exy = np.array([[np.trace(np.kron(m.entries, nn.entries) @ rho).real
+        exy = np.array([[np.trace(np.kron(m, nn) @ rho).real
                          for nn in rep.col_observables]
                         for m in rep.row_observables])
         return ex, ey, exy
-    ex = np.array([np.trace(m.entries).real / d for m in rep.row_observables])
-    ey = np.array([np.trace(nn.entries).real / d for nn in rep.col_observables])
-    # Tr(M N^T) = sum of M o N: one unconjugated dot per pair, no stacked copies
-    exy = np.array([[np.dot(m.entries.ravel(), nn.entries.ravel()).real / d
-                     for nn in rep.col_observables]
-                    for m in rep.row_observables])
+    R, C = rep.row_observables, rep.col_observables
+    ex = np.trace(R, axis1=1, axis2=2).real / d
+    ey = np.trace(C, axis1=1, axis2=2).real / d
+    # Tr(M N^T) sums the entries of M o N: every pair at once is one
+    # unconjugated product of the flattened stacks, views with no copies
+    exy = (R.reshape(rep.m_a, -1) @ C.reshape(rep.m_b, -1).T).real / d
     return ex, ey, exy
 
 

@@ -96,8 +96,9 @@ class TestJsonIO:
         assert isinstance(back, QuantumRepresentation)
         assert back.d == rep.d
         assert (back.m_a, back.m_b) == (rep.m_a, rep.m_b)
-        for a, b in zip(back.row_observables, rep.row_observables):
-            assert np.array_equal(a.entries, b.entries)
+        for side in ("row_observables", "col_observables"):
+            a, b = getattr(back, side), getattr(rep, side)
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_malformed_matrix_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -294,6 +295,47 @@ class TestBound:
         assert code == 0
         payload = json.loads(out)["payload"]
         assert payload["support_bound"] == 3
+
+
+class TestToleranceGate:
+    """A NaN or infinite --tol would pass every numerical check vacuously and a
+    negative one would fail them all; each command refuses them as input."""
+
+    BAD = ["nan", "inf", "-inf", "-1", "-1e-300"]
+
+    @staticmethod
+    def assert_refused(capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        obj = json.loads(err)
+        assert obj["status"] == "invalid-input"
+        assert "--tol" in obj["error"]
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_factorize(self, capsys, tmp_path, tol):
+        _, out, _ = run_cli(capsys, "generate", "cycle-sep", "--n", "6")
+        path = write_json(tmp_path, "v.json", json.loads(out)["payload"]["vectors"])
+        self.assert_refused(capsys, "factorize", path, f"--tol={tol}")
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_bound(self, capsys, tmp_path, tol):
+        X, factors = five_factor_example()
+        mpath = write_json(tmp_path, "x.json", jsonio.matrix_to_json(X))
+        fact = CpsdFactorization(
+            d=4, factors=tuple(HermMatrix(f.astype(complex)) for f in factors))
+        fpath = write_json(tmp_path, "f.json", jsonio.factorization_to_json(fact))
+        self.assert_refused(capsys, "bound", mpath, "--verify", fpath, f"--tol={tol}")
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_behavior(self, capsys, tmp_path, tol):
+        C, _ = exponential_family(2)
+        path = write_json(tmp_path, "c.json", jsonio.matrix_to_json(C.entries))
+        self.assert_refused(capsys, "behavior", path, "--simulate", f"--tol={tol}")
+
+    def test_zero_accepted(self, capsys, tmp_path):
+        path = write_json(tmp_path, "c.json", jsonio.matrix_to_json(np.zeros((2, 2))))
+        code, _, _ = run_cli(capsys, "behavior", path, "--tol", "0")
+        assert code == 0
 
 
 class TestBehaviorCommand:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, make_rng
 from cpsdlab.bell import exponential_family_vectors
-from cpsdlab.clifford import DENSE_BUDGET, _gamma_size, gamma
+from cpsdlab.clifford import DENSE_BUDGET, _gamma_size, gamma, gammas
 from cpsdlab.errors import CapExceeded
 from cpsdlab.matcore import spectral
 
@@ -97,6 +97,27 @@ def test_gamma_is_bitwise_the_word_sum(k):
         x = random_vector(rng, k)
         got = gamma(x).entries
         assert np.array_equal(got.view(np.uint64), word_sum(x).view(np.uint64))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_stacked_fill_is_bitwise_the_per_row_gamma(k):
+    rng = make_rng(200 + k)
+    X = np.stack([random_vector(rng, k) for _ in range(7)])
+    X[0] = -np.zeros(k)
+    X[1] = -np.abs(X[1])
+    got = gammas(X)
+    assert got.shape == (7,) + (2 ** (k // 2),) * 2
+    for x, g in zip(X, got):
+        assert np.array_equal(g.view(np.uint64), gamma(x).entries.view(np.uint64))
+        assert np.array_equal(g.view(np.uint64), word_sum(x).view(np.uint64))
+
+
+def test_stacked_fill_counts_the_whole_family_against_the_budget():
+    assert gammas(np.zeros((0, 4))).shape == (0, 4, 4)
+    with pytest.raises(CapExceeded, match="342 dense 512 x 512"):
+        gammas(np.zeros((342, 18)))  # refused from the estimate, 1.34 GiB
+    with pytest.raises(ValueError, match="row vectors"):
+        gammas(np.ones(3))
 
 
 def test_gamma_of_zero_is_zero():

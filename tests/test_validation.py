@@ -159,24 +159,24 @@ class TestBellRejections:
 class TestQuantumRejections:
     def test_needs_observables(self):
         with pytest.raises(ValueError, match="at least one"):
-            QuantumRepresentation(d=2, row_observables=(),
-                                  col_observables=(HermMatrix(np.eye(2)),))
+            QuantumRepresentation(d=2, row_observables=np.zeros((0, 2, 2)),
+                                  col_observables=np.eye(2)[None])
 
     def test_observable_size(self):
         with pytest.raises(ValueError, match="size"):
-            QuantumRepresentation(d=3, row_observables=(HermMatrix(np.eye(2)),),
-                                  col_observables=(HermMatrix(np.eye(3)),))
+            QuantumRepresentation(d=3, row_observables=np.eye(2)[None],
+                                  col_observables=np.eye(3)[None])
 
     def test_unknown_state_tag(self):
-        eye = HermMatrix(np.eye(2))
+        eye = np.eye(2)[None]
         with pytest.raises(ValueError, match="unknown state"):
-            QuantumRepresentation(d=2, row_observables=(eye,), col_observables=(eye,),
+            QuantumRepresentation(d=2, row_observables=eye, col_observables=eye,
                                   state="thermal")
 
     def test_explicit_state_size(self):
-        eye = HermMatrix(np.eye(2))
+        eye = np.eye(2)[None]
         with pytest.raises(ValueError, match="d\\^2"):
-            QuantumRepresentation(d=2, row_observables=(eye,), col_observables=(eye,),
+            QuantumRepresentation(d=2, row_observables=eye, col_observables=eye,
                                   state=HermMatrix(np.eye(3) / 3))
 
     def test_vector_dimension_mismatch(self):
