@@ -16,11 +16,11 @@ from .matcore import (
 from .clifford import gamma, gammas
 from .lorentz import (
     GramLorentzFactorization,
-    LorentzVector,
     gl2_factorize,
     gl_matrix,
     gl_reduce,
     gl_to_cpsd,
+    in_cone,
     lorentz_embed,
 )
 from .cpsdrank import (

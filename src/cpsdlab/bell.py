@@ -16,9 +16,10 @@ import numpy as np
 from .errors import CapExceeded
 from .matcore import (PSD_TOL, RANK_TOL, _finite, _freeze, _square, _symmetric, _unit_rows,
                       gram_vectors, spectral)
-from .lorentz import GramLorentzFactorization, LorentzVector
+from .lorentz import GramLorentzFactorization
 
 OUTCOMES = (1, -1)
+_HALF_SIGNS = 0.5 * np.array(OUTCOMES, dtype=float)  # the factors (0.5 a) of the cone vectors
 
 EXP_FAMILY_CAP = 13  # input guard on n; the dense factors only fit the byte budget for n <= 8
 
@@ -180,14 +181,9 @@ def gl_behavior_factorization(C, U, V, tol: float = 1e-8) -> GramLorentzFactoriz
     if dev > tol:
         raise ValueError(f"<u_x, v_y> does not reproduce the correlations: "
                          f"max deviation {dev:.3e}")
-    vectors: list[LorentzVector] = []
-    for x in range(c.n):
-        for a in OUTCOMES:
-            vectors.append(LorentzVector(0.5, 0.5 * a * u[x]))
-    for y in range(c.m):
-        for b in OUTCOMES:
-            vectors.append(LorentzVector(0.5, 0.5 * b * v[y]))
-    return GramLorentzFactorization(vectors=tuple(vectors))
+    # a product with the signs, so the a = -1 rows hold -0.0 where u holds 0.0
+    tails = (_HALF_SIGNS[:, None] * np.concatenate((u, v))[:, None, :]).reshape(-1, u.shape[1])
+    return GramLorentzFactorization(np.hstack((np.full((len(tails), 1), 0.5), tails)))
 
 
 def behavior_matrix_factorization(C, U=None, tol: float = 1e-8) -> GramLorentzFactorization:
@@ -211,8 +207,8 @@ def behavior_matrix_factorization(C, U=None, tol: float = 1e-8) -> GramLorentzFa
     if dev > tol:
         raise ValueError(f"<u_x, u_y> does not reproduce the correlations: "
                          f"max deviation {dev:.3e}")
-    vectors = [LorentzVector(0.5, 0.5 * a * u[x]) for a in OUTCOMES for x in range(c.n)]
-    return GramLorentzFactorization(vectors=tuple(vectors))
+    tails = (_HALF_SIGNS[:, None, None] * u).reshape(-1, u.shape[1])
+    return GramLorentzFactorization(np.hstack((np.full((len(tails), 1), 0.5), tails)))
 
 
 def elliptope_member(X: np.ndarray, psd_tol: float = PSD_TOL, diag_tol: float = 1e-9) -> bool:
@@ -238,14 +234,6 @@ class ExtremeReport:
         return self.rank * (self.rank + 1) // 2
 
 
-def _svec(M: np.ndarray) -> np.ndarray:
-    # symmetric vectorization with sqrt(2) off-diagonal weights, so that
-    # <svec(A), svec(B)> = Tr(A B)
-    r = M.shape[0]
-    iu = np.triu_indices(r, k=1)
-    return np.concatenate((np.diag(M), math.sqrt(2.0) * M[iu]))
-
-
 def elliptope_extreme_test(X: np.ndarray, rank_tol: float = RANK_TOL) -> ExtremeReport:
     """Extreme-point test for an elliptope member.
 
@@ -259,7 +247,10 @@ def elliptope_extreme_test(X: np.ndarray, rank_tol: float = RANK_TOL) -> Extreme
         raise ValueError("matrix is not in the elliptope")
     V = gram_vectors(a, rank_tol=rank_tol)
     r = V.shape[1]
-    S = np.stack([_svec(np.outer(row, row)) for row in V])
+    # row i is the symmetric vectorization of u_i u_i^T, sqrt(2)-weighted off
+    # the diagonal so that <svec(A), svec(B)> = Tr(A B)
+    i, j = np.triu_indices(r, k=1)
+    S = np.hstack((V ** 2, math.sqrt(2.0) * (V[:, i] * V[:, j])))
     span_dim = spectral(S @ S.T, rank_tol=rank_tol).rank
     return ExtremeReport(is_extreme=span_dim == r * (r + 1) // 2, rank=r, span_dim=span_dim)
 
@@ -287,20 +278,19 @@ def elliptope_extreme_construct(n: int, r: int) -> np.ndarray:
     return V @ V.T
 
 
-def dq_lower_bound(C, is_extreme: bool) -> tuple[float, int]:
+def dq_lower_bound(report: ExtremeReport) -> tuple[float, int]:
     """Lower bound sqrt(2)^floor(rank/2) on the local dimension of any quantum
-    realization of the unbiased behavior of an extreme correlation matrix.
+    realization of the unbiased behavior of an extreme correlation matrix,
+    read from its `elliptope_extreme_test` report.
 
     The extremality hypothesis is load-bearing, so the bound is refused
-    (raises) rather than silently emitted when the certificate is absent.
-    Returns (value, integer ceiling); even powers are computed in exact
+    (raises) rather than silently emitted for a report that does not certify
+    it. Returns (value, integer ceiling); even powers are computed in exact
     integer arithmetic.
     """
-    if not is_extreme:
+    if not report.is_extreme:
         raise ValueError("extremality not certified; run elliptope_extreme_test first")
-    c = as_correlation(C)
-    rank = spectral(_symmetric(c.entries)).rank
-    half = rank // 2
+    half = report.rank // 2
     if half % 2 == 0:
         ceiling = 1 << (half // 2)
         return float(ceiling), ceiling

@@ -82,7 +82,7 @@ def _cmd_generate(args) -> CommandResult:
         W = bell.exponential_family_vectors(args.n)
         fam = bell.behavior_matrix_factorization(C, U=W)
         report = bell.elliptope_extreme_test(C.entries)
-        value, ceiling = bell.dq_lower_bound(C, report.is_extreme)
+        value, ceiling = bell.dq_lower_bound(report)
         payload = {
             "N": C.n,
             "correlation": jsonio.matrix_to_json(C.entries),
@@ -99,8 +99,7 @@ def _cmd_generate(args) -> CommandResult:
             raise ValueError("cycle-sep needs --n")
         fam = separations.cycle_vectors(args.n)
         pairs, subset = separations.cycle_pairing(args.n)
-        vecs = np.stack([v.as_array() for v in fam.vectors])
-        cert = separations.check_not_cp(vecs, pairs, subset)
+        cert = separations.check_not_cp(fam.vectors, pairs, subset)
         payload = {
             "vectors": jsonio.lorentz_to_json(fam),
             "gram": jsonio.matrix_to_json(lorentz.gl_matrix(fam)),
@@ -238,7 +237,7 @@ def _cmd_behavior(args) -> CommandResult:
                     "dimension_lower_bound": None}
     member = bell.elliptope_member(M)
     if member and (extreme := bell.elliptope_extreme_test(M)).is_extreme:
-        value, ceiling = bell.dq_lower_bound(C, extreme.is_extreme)
+        value, ceiling = bell.dq_lower_bound(extreme)
         bounds["dimension_lower_bound"] = {"value": value, "ceiling": ceiling}
         provenance.append("elliptope-extreme-dimension-bound")
     payload["bounds"] = bounds

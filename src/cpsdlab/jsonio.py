@@ -14,8 +14,6 @@ Formats:
   factorization  {"d": int, "factors": [matrix, ...]}
   behavior       {"mA": int, "mB": int, "table": nested [a][b][x][y]}
   graph          {"n": int, "edges": [[u, v], ...]}  (0-indexed)
-  representation {"d": int, "M": [matrix, ...], "N": [matrix, ...],
-                  "state": "max_entangled" | matrix}
 """
 
 from __future__ import annotations
@@ -26,9 +24,8 @@ import numpy as np
 
 from .bell import Behavior
 from .cpsdrank import BoundReport, CpsdFactorization, VerifyReport
-from .lorentz import GramLorentzFactorization, LorentzVector
+from .lorentz import GramLorentzFactorization
 from .matcore import HermMatrix, _finite, _square
-from .quantum import MAX_ENTANGLED, QuantumRepresentation
 from .separations import Graph, NotCpCertificate, NotVnaCertificate
 
 
@@ -92,7 +89,7 @@ def matrix_from_json(obj: dict):
 # lorentz families -----------------------------------------------------
 
 def lorentz_to_json(f: GramLorentzFactorization) -> dict:
-    return {"m": f.m, "vectors": [v.as_array() for v in f.vectors]}
+    return {"m": f.m, "vectors": f.vectors}
 
 
 def lorentz_from_json(obj: dict) -> GramLorentzFactorization:
@@ -106,7 +103,7 @@ def lorentz_from_json(obj: dict) -> GramLorentzFactorization:
     arr = _finite_array(rows, "lorentz")
     if arr.ndim != 2 or arr.shape[1] != m:
         raise ValueError(f"vector array of shape {arr.shape} does not match m = {m}")
-    return GramLorentzFactorization(vectors=tuple(LorentzVector(v[0], v[1:]) for v in arr))
+    return GramLorentzFactorization(arr)
 
 
 # psd-factor factorizations --------------------------------------------
@@ -159,39 +156,6 @@ def graph_from_json(obj: dict) -> Graph:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
     return Graph.from_edges(n, edges)
-
-
-# quantum representations ----------------------------------------------
-
-def representation_to_json(rep: QuantumRepresentation) -> dict:
-    state = MAX_ENTANGLED if rep.state == MAX_ENTANGLED else matrix_to_json(rep.state)
-    return {"d": rep.d,
-            "M": [matrix_to_json(HermMatrix(m)) for m in rep.row_observables],
-            "N": [matrix_to_json(HermMatrix(m)) for m in rep.col_observables],
-            "state": state}
-
-
-def _stack_from_json(objs, side: str) -> np.ndarray:
-    """The matrices of one party as one complex stack."""
-    mats = [_herm_from_json(m).entries for m in objs]
-    if len({m.shape for m in mats}) > 1:
-        raise ValueError(f"{side} observables have different sizes")
-    return np.array(mats, dtype=complex)
-
-
-def representation_from_json(obj: dict) -> QuantumRepresentation:
-    try:
-        d = int(obj["d"])
-        rows = obj["M"]
-        cols = obj["N"]
-        state = obj.get("state", MAX_ENTANGLED)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed representation JSON: {exc}") from exc
-    parsed_state = state if state == MAX_ENTANGLED else _herm_from_json(state)
-    return QuantumRepresentation(d=d,
-                                 row_observables=_stack_from_json(rows, "row"),
-                                 col_observables=_stack_from_json(cols, "column"),
-                                 state=parsed_state)
 
 
 # reports and certificates ---------------------------------------------

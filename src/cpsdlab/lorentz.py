@@ -1,8 +1,9 @@
 """Second-order (Lorentz) cone vectors, their isometric embedding into the
 Hermitian psd cone, and Gram-matrix factorizations built from them.
 
-A vector (c, x) in R x R^{m-1} lies in the cone L_m iff c >= |x|. The
-embedding
+A vector (c, x) in R x R^{m-1} lies in the cone L_m iff c >= |x|. A family
+of n such vectors is one read-only (n, m) array whose rows are (c, x), and
+`in_cone` decides membership for every row at once. The embedding
 
     (c, x)  ->  (1/sqrt(d)) (c I_d + gamma(x)),     d = 2^floor((m-1)/2),
 
@@ -28,87 +29,74 @@ import numpy as np
 
 from .clifford import _gamma_size, gamma
 from .cpsdrank import CpsdFactorization
-from .matcore import RANK_TOL, HermMatrix, _freeze, gram_vectors
+from .matcore import RANK_TOL, HermMatrix, _finite, _freeze, gram_vectors
 
 MEMBER_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class LorentzVector:
-    """Vector (c, x) in R x R^{m-1} with its cone-membership status.
+def in_cone(V) -> np.ndarray:
+    """Whether each row (c, x) of V lies in the cone, c >= |x| - MEMBER_TOL.
 
-    Membership is decided at construction with an absolute boundary tolerance
-    of 1e-10; non-members are valid values (the embedding is defined for all
-    of R^m), they just map to non-psd matrices.
+    Rows outside are valid vectors (the embedding is defined on all of R^m);
+    they just map to non-psd matrices.
     """
-
-    c: float
-    x: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.atleast_1d(np.asarray(self.x, dtype=float)).ravel()
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "x", _freeze(v))
-
-    @property
-    def m(self) -> int:
-        return 1 + self.x.shape[0]
-
-    @property
-    def is_member(self) -> bool:
-        return self.c >= float(np.linalg.norm(self.x)) - MEMBER_TOL
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate(([self.c], self.x))
+    V = np.asarray(V, dtype=float)
+    return V[:, 0] >= np.linalg.norm(V[:, 1:], axis=1) - MEMBER_TOL
 
 
 @dataclass(frozen=True, eq=False)
 class GramLorentzFactorization:
-    """Family of cone members sharing one ambient dimension.
+    """Family of n cone members sharing one ambient dimension m.
 
-    Vectors failing membership by more than the boundary tolerance are
-    rejected rather than projected; silent projection would corrupt the
+    ``vectors`` is a read-only float array of shape (n, m), n, m >= 1, whose
+    rows are (c, x), validated once here: finite entries and every row in
+    the cone. Rows failing membership by more than the boundary tolerance
+    are rejected rather than projected; silent projection would corrupt the
     certificates built on top of these families.
     """
 
-    vectors: tuple[LorentzVector, ...]
+    vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.vectors:
+        V = np.array(self.vectors, dtype=float, order="C")
+        if V.ndim >= 1 and len(V) == 0:
             raise ValueError("factorization needs at least one vector")
-        ms = {v.m for v in self.vectors}
-        if len(ms) != 1:
-            raise ValueError(f"mixed ambient dimensions: {sorted(ms)}")
-        for k, v in enumerate(self.vectors):
-            if not v.is_member:
-                raise ValueError(
-                    f"vector {k} is outside the cone: c = {v.c}, |x| = {np.linalg.norm(v.x)}")
+        if V.ndim != 2 or V.shape[1] == 0:
+            raise ValueError(f"cone vectors must form an (n, m) array with m >= 1, "
+                             f"got shape {V.shape}")
+        _finite(V, "cone vector")
+        outside = np.flatnonzero(~in_cone(V))
+        if outside.size:
+            k = outside[0]
+            raise ValueError(f"vector {k} is outside the cone: c = {V[k, 0]}, "
+                             f"|x| = {np.linalg.norm(V[k, 1:])}")
+        object.__setattr__(self, "vectors", _freeze(V))
 
     @property
     def n(self) -> int:
-        return len(self.vectors)
+        return self.vectors.shape[0]
 
     @property
     def m(self) -> int:
-        return self.vectors[0].m
+        return self.vectors.shape[1]
 
 
-def lorentz_embed(v: LorentzVector) -> HermMatrix:
-    """Isometric embedding (c I + gamma(x)) / sqrt(d) of a single vector."""
-    tail = v.x
+def lorentz_embed(v) -> HermMatrix:
+    """Isometric embedding (c I + gamma(x)) / sqrt(d) of one row v = (c, x)."""
+    v = np.asarray(v, dtype=float)
+    c, tail = v[0], v[1:]
     if tail.shape[0] == 1:
         tail = np.array([tail[0], 0.0])
     if tail.shape[0] == 0:
-        return HermMatrix(np.array([[v.c]], dtype=complex))
+        return HermMatrix(np.array([[c]], dtype=complex))
     g = gamma(tail).entries
     d = g.shape[0]
-    return HermMatrix((v.c * np.eye(d) + g) / np.sqrt(d))
+    return HermMatrix((c * np.eye(d) + g) / np.sqrt(d))
 
 
 def gl_matrix(f: GramLorentzFactorization) -> np.ndarray:
     """Gram matrix of the cone vectors viewed as vectors in R^m."""
-    M = np.stack([v.as_array() for v in f.vectors])
-    return M @ M.T
+    return f.vectors @ f.vectors.T
 
 
 def gl_reduce(f: GramLorentzFactorization, rank_tol: float = RANK_TOL) -> GramLorentzFactorization:
@@ -118,19 +106,14 @@ def gl_reduce(f: GramLorentzFactorization, rank_tol: float = RANK_TOL) -> GramLo
     tail Gram matrix, truncating eigenvalues below the rank cut. Truncation
     only shrinks tail norms, so cone membership survives, and the new ambient
     dimension 1 + rank(tail Gram) never exceeds the old one (and is at most
-    rank(Gram) + 2).
+    rank(Gram) + 2). All tails numerically zero collapse to the axis
+    vectors (c,).
     """
-    tails = np.stack([v.x for v in f.vectors])
+    tails = f.vectors[:, 1:]
     if tails.shape[1] == 0:
         return f
-    U = tails @ tails.T
-    newtails = gram_vectors(U, rank_tol=rank_tol)
-    if newtails.shape[1] == 0:
-        # all tails numerically zero: collapse to axis vectors (c,)
-        return GramLorentzFactorization(
-            vectors=tuple(LorentzVector(v.c, np.zeros(0)) for v in f.vectors))
-    return GramLorentzFactorization(
-        vectors=tuple(LorentzVector(v.c, row) for v, row in zip(f.vectors, newtails)))
+    newtails = gram_vectors(tails @ tails.T, rank_tol=rank_tol)
+    return GramLorentzFactorization(np.hstack((f.vectors[:, :1], newtails)))
 
 
 def gl_to_cpsd(f: GramLorentzFactorization, rank_tol: float = RANK_TOL) -> CpsdFactorization:
@@ -170,21 +153,14 @@ def gl2_factorize(a: float, b: float, c: float) -> GramLorentzFactorization:
     if b > root + 1e-10 * max(1.0, root):
         raise ValueError(f"not doubly nonnegative: b = {b} exceeds sqrt(ac) = {root}")
 
-    def pair(big: float, small: float) -> tuple[LorentzVector, LorentzVector]:
-        v_big = LorentzVector(np.sqrt(big / 2.0), np.array([np.sqrt(big / 2.0), 0.0]))
-        if small <= 0.0 or big <= 0.0:
-            v_small = LorentzVector(0.0, np.zeros(2))
-            if big <= 0.0:
-                v_big = LorentzVector(0.0, np.zeros(2))
-            return v_big, v_small
+    big, small = max(a, c), min(a, c)
+    rows = np.zeros((2, 3))
+    if big > 0.0:
+        h = np.sqrt(big / 2.0)
+        rows[0] = (h, h, 0.0)
+    if small > 0.0:
         geo = np.sqrt(big) * np.sqrt(small)
         t = np.clip((2.0 * b - geo) / geo, -1.0, 1.0)
-        tail = np.sqrt(small / 2.0) * np.array([t, np.sqrt(max(0.0, 1.0 - t * t))])
-        v_small = LorentzVector(np.sqrt(small / 2.0), tail)
-        return v_big, v_small
-
-    if a >= c:
-        v1, v2 = pair(a, c)
-        return GramLorentzFactorization(vectors=(v1, v2))
-    v1, v2 = pair(c, a)
-    return GramLorentzFactorization(vectors=(v2, v1))
+        h = np.sqrt(small / 2.0)
+        rows[1] = (h, h * t, h * np.sqrt(max(0.0, 1.0 - t * t)))
+    return GramLorentzFactorization(rows if a >= c else rows[::-1])

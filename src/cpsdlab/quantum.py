@@ -161,14 +161,21 @@ def representation_from_vectors(U, V) -> QuantumRepresentation:
     and dropping it breaks the pairing identity. gamma(v) is exactly
     Hermitian, so its transpose is its entrywise conjugate, taken in place on
     the column stack. Ambient dimension 1 is padded to 2 so the observables
-    stay traceless and the resulting behavior unbiased. Raises CapExceeded
-    before building any observable when they together exceed the gamma byte
-    budget.
+    stay traceless and the resulting behavior unbiased. Vectors may be
+    shorter than 1 within the unit tolerance of `_unit_rows`, but not longer
+    than 1 + SPECTRUM_TOL. Raises CapExceeded before building any observable
+    when they together exceed the gamma byte budget.
     """
     u = _unit_rows(U, "row")
     v = _unit_rows(V, "column")
     if u.shape[1] != v.shape[1]:
         raise ValueError("row and column vectors live in different dimensions")
+    for w, side in ((u, "row"), (v, "column")):
+        # gamma(w) has eigenvalues +-|w|, so a longer w fails the observable gate
+        excess = np.linalg.norm(w, axis=1).max(initial=0.0) - 1.0
+        if excess > SPECTRUM_TOL:
+            raise ValueError(f"{side} vector longer than 1 + {SPECTRUM_TOL:.0e}: "
+                             f"its length exceeds 1 by {excess:.3e}")
     if u.shape[1] == 1:
         u = np.hstack([u, np.zeros((u.shape[0], 1))])
         v = np.hstack([v, np.zeros((v.shape[0], 1))])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpsdrank import CpsdFactorization
-from .lorentz import GramLorentzFactorization, LorentzVector
+from .lorentz import GramLorentzFactorization
 from .matcore import RANK_TOL, HermMatrix, _symmetric, gram_vectors, spectral
 
 
@@ -198,11 +198,9 @@ def cycle_vectors(n: int) -> GramLorentzFactorization:
     half = n // 2
     if half % 2 == 0 or half < 3:
         raise ValueError("n / 2 must be odd and at least 3")
-    vecs = tuple(
-        LorentzVector(1.0, np.array([math.cos(2 * math.pi * k / n),
-                                     math.sin(2 * math.pi * k / n)]))
-        for k in range(n))
-    return GramLorentzFactorization(vectors=vecs)
+    # math.cos and math.sin per k: numpy's vectorized ones may differ in the last bit
+    return GramLorentzFactorization([(1.0, math.cos(2 * math.pi * k / n),
+                                      math.sin(2 * math.pi * k / n)) for k in range(n)])
 
 
 def cycle_pairing(n: int) -> tuple[list[tuple[int, int]], list[int]]:

@@ -127,3 +127,12 @@ def has_long_odd_cycle_oracle(G) -> tuple[bool, int]:
         if len(cyc) >= 5 and len(cyc) % 2 == 1:
             return True, count
     return False, count
+
+
+def svec_rows(V: np.ndarray) -> np.ndarray:
+    """Row i is the symmetric vectorization of the outer product v_i v_i^T:
+    its diagonal, then sqrt(2) times its upper triangle, built one row at a
+    time from np.outer."""
+    iu = np.triu_indices(V.shape[1], k=1)
+    return np.array([np.concatenate((np.diag(M), math.sqrt(2.0) * M[iu]))
+                     for M in (np.outer(v, v) for v in V)])

@@ -16,6 +16,7 @@ from conftest import (
     make_rng,
     no_psd_root_example,
     random_dnn,
+    svec_rows,
 )
 from cpsdlab.bell import (
     behavior_from_correlation,
@@ -34,7 +35,7 @@ from cpsdlab.cpsdrank import (
     hadamard_sqrt_psd,
     verify_factorization,
 )
-from cpsdlab.lorentz import LorentzVector, gl_matrix, gl_to_cpsd, lorentz_embed
+from cpsdlab.lorentz import gl_matrix, gl_to_cpsd, in_cone, lorentz_embed
 from cpsdlab.matcore import HermMatrix, gram_vectors, spectral
 from cpsdlab.quantum import (
     QuantumRepresentation,
@@ -117,24 +118,24 @@ def test_criterion_03_lorentz_isometry_and_cone():
                 offset = rng.uniform(-0.5, 0.5)
             else:
                 offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.5, -3.0)
-            vectors.append(LorentzVector(np.linalg.norm(x) + offset, x))
+            vectors.append(np.concatenate(([np.linalg.norm(x) + offset], x)))
         embeds = [lorentz_embed(v) for v in vectors]
         # isometry on consecutive pairs
         for a, b, ea, eb in zip(vectors, vectors[1:], embeds, embeds[1:]):
             lhs = float(np.trace(ea.entries @ eb.entries).real)
-            rhs = float(a.as_array() @ b.as_array())
+            rhs = float(a @ b)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
             total_pairs += 1
         # cone correspondence, matched tolerance band, zero misclassification
         for v, e in zip(vectors, embeds):
-            margin = v.c - float(np.linalg.norm(v.x))
+            margin = v[0] - float(np.linalg.norm(v[1:]))
             if abs(margin) <= 1e-10:
                 continue
             scaled_min = float(spectral(e).eigenvalues[0]) * math.sqrt(e.n)
             is_psd_scaled = scaled_min >= -1e-10
             member = margin > 0
             assert is_psd_scaled == member
-            assert v.is_member == member
+            assert in_cone(v[None])[0] == member
     _report(3, f"lorentz isometry ({total_pairs} pairs) and cone correspondence, "
                f"1000 vectors per m in 2..10, zero misclassifications")
 
@@ -154,7 +155,7 @@ def test_criterion_04_gl_pipeline_tightness():
         assert fact.d <= size_cap
         report = elliptope_extreme_test(C.entries)
         assert report.is_extreme and report.rank == 2 * n
-        value, ceiling = dq_lower_bound(C, report.is_extreme)
+        value, ceiling = dq_lower_bound(report)
         assert value == pytest.approx(math.sqrt(2.0) ** (2 * n // 2))
         intervals[n] = (ceiling, size_cap, fact.d)
         assert ceiling <= fact.d <= size_cap  # nonempty certified interval
@@ -189,8 +190,7 @@ def test_criterion_06_separation_certificates():
     t0 = time.perf_counter()
     fam = cycle_vectors(6)
     pairs, subset = cycle_pairing(6)
-    vecs = np.stack([v.as_array() for v in fam.vectors])
-    cert = check_not_cp(vecs, pairs, subset)
+    cert = check_not_cp(fam.vectors, pairs, subset)
     assert cert.valid
     fact = gl_to_cpsd(fam)
     assert fact.d == 2
@@ -216,9 +216,7 @@ def test_criterion_07_elliptope_extremality():
             # stability of the span dimension under 1e-10 vector perturbations
             V = gram_vectors(X)
             noisy = V + 1e-10 * rng.standard_normal(V.shape)
-            from cpsdlab.bell import _svec  # test hook into the same vectorization
-
-            S = np.stack([_svec(np.outer(row, row)) for row in noisy])
+            S = svec_rows(noisy)
             assert spectral(S @ S.T).rank == report.span_dim
             count += 1
     i3 = elliptope_extreme_test(np.eye(3))
@@ -295,7 +293,7 @@ def test_criterion_10_exponential_growth_note():
     for n in (1, 2, 3):
         C, _ = exponential_family(n)
         report = elliptope_extreme_test(C.entries)
-        value, _ = dq_lower_bound(C, report.is_extreme)
+        value, _ = dq_lower_bound(report)
         values.append(value)
     assert values[0] == pytest.approx(math.sqrt(2.0))
     assert values[1] == pytest.approx(2.0)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_elliptope
+from conftest import random_elliptope, svec_rows
+from cpsdlab import bell
 from cpsdlab.bell import (
     Behavior,
     CorrelationMatrix,
+    ExtremeReport,
     FullCorrelation,
     behavior_from_correlation,
     behavior_matrix,
@@ -199,6 +201,17 @@ class TestGlBehaviorFactorization:
         fam = gl_behavior_factorization([[1.0]], np.array([[1.0]]), np.array([[1.0]]))
         assert fam.n == 4 and fam.m == 2
 
+    def test_rows_are_the_signed_halves_bit_for_bit(self):
+        # rows (1/2, (a/2) u_x), question-major, then (1/2, (b/2) v_y); zero
+        # coordinates become -0.0 under a = -1 and -0.0 ones become +0.0
+        U = exponential_family_vectors(2)
+        U[0, 1] = -0.0
+        V = U[::-1].copy()
+        fam = gl_behavior_factorization(U @ V.T, U, V)
+        want = np.array([np.concatenate(([0.5], 0.5 * a * w))
+                         for W in (U, V) for w in W for a in (1, -1)])
+        assert np.array_equal(fam.vectors.view(np.uint64), want.view(np.uint64))
+
     def test_extreme_point_family_reduces_to_small_ambient(self):
         C = elliptope_extreme_construct(3, 2)
         U = gram_vectors(C)
@@ -262,6 +275,24 @@ class TestElliptope:
         with pytest.raises(ValueError, match="elliptope"):
             elliptope_extreme_test(2 * np.eye(3))
 
+    @pytest.mark.parametrize("n,r", [(3, 1), (3, 2), (10, 4), (15, 5), (21, 6)])
+    def test_span_matrix_is_the_outer_product_vectorization_bit_for_bit(
+            self, n, r, monkeypatch):
+        # the span test's S S^T, taken from the spectral call, against S built
+        # row by row from np.outer and the upper triangle
+        X = elliptope_extreme_construct(n, r)
+        seen = []
+        original = bell.spectral
+
+        def record(M, **kwargs):
+            seen.append(np.array(M))
+            return original(M, **kwargs)
+
+        monkeypatch.setattr(bell, "spectral", record)
+        elliptope_extreme_test(X)
+        S = svec_rows(gram_vectors(X))
+        assert np.array_equal((S @ S.T).view(np.uint64), seen[-1].view(np.uint64))
+
 
 class TestRmax:
     def test_small_values(self):
@@ -308,13 +339,11 @@ class TestExtremeConstruct:
 
 class TestDqBound:
     def test_rank_two(self):
-        C = elliptope_extreme_construct(3, 2)
-        value, ceiling = dq_lower_bound(C, True)
+        value, ceiling = dq_lower_bound(ExtremeReport(is_extreme=True, rank=2, span_dim=3))
         assert value == pytest.approx(S2) and ceiling == 2
 
     def test_rank_four(self):
-        C = elliptope_extreme_construct(10, 4)
-        value, ceiling = dq_lower_bound(C, True)
+        value, ceiling = dq_lower_bound(ExtremeReport(is_extreme=True, rank=4, span_dim=10))
         assert value == 2.0 and ceiling == 2
 
     def test_rank_twenty(self):
@@ -322,12 +351,21 @@ class TestDqBound:
         C, _ = exponential_family(10)
         report = elliptope_extreme_test(C.entries)
         assert report.rank == 20
-        value, ceiling = dq_lower_bound(C, report.is_extreme)
+        value, ceiling = dq_lower_bound(report)
         assert value == 32.0 and ceiling == 32
 
     def test_refused_without_certificate(self):
+        report = elliptope_extreme_test(np.eye(3))
+        assert not report.is_extreme
         with pytest.raises(ValueError, match="not certified"):
-            dq_lower_bound(np.eye(3), False)
+            dq_lower_bound(report)
+
+    @pytest.mark.parametrize("n,r", [(3, 1), (3, 2), (6, 3), (10, 4), (15, 5)])
+    def test_report_rank_is_the_spectral_rank(self, n, r):
+        # the report's rank (gram_vectors' cut) is the rank the bound used to
+        # recompute with spectral; both cut at RANK_TOL max(1, lambda_max)
+        X = elliptope_extreme_construct(n, r)
+        assert elliptope_extreme_test(X).rank == spectral(X).rank == r
 
 
 class TestExponentialFamily:
@@ -346,7 +384,7 @@ class TestExponentialFamily:
         assert C.n == 10
         report = elliptope_extreme_test(C.entries)
         assert report.rank == 4 and report.is_extreme
-        value, ceiling = dq_lower_bound(C, report.is_extreme)
+        value, ceiling = dq_lower_bound(report)
         assert value == 2.0 and ceiling == 2
 
     @pytest.mark.parametrize("n", [1, 2, 3])

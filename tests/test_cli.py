@@ -15,9 +15,8 @@ from cpsdlab import cli, jsonio, separations
 from cpsdlab.bell import behavior_from_correlation, exponential_family
 from cpsdlab.cli import main
 from cpsdlab.cpsdrank import CpsdFactorization, verify_factorization
-from cpsdlab.lorentz import LorentzVector, GramLorentzFactorization
+from cpsdlab.lorentz import GramLorentzFactorization
 from cpsdlab.matcore import HermMatrix
-from cpsdlab.quantum import QuantumRepresentation
 from cpsdlab.separations import Graph
 
 
@@ -60,13 +59,10 @@ class TestJsonIO:
         assert np.array_equal(back.entries, h.entries)
 
     def test_lorentz_roundtrip(self):
-        fam = GramLorentzFactorization(vectors=(
-            LorentzVector(1.0, np.array([0.3, 0.4])),
-            LorentzVector(2.0, np.array([-1.0, 0.5]))))
+        fam = GramLorentzFactorization([[1.0, 0.3, 0.4], [2.0, -1.0, -0.0]])
         back = jsonio.lorentz_from_json(json.loads(jsonio.dumps(jsonio.lorentz_to_json(fam))))
         assert back.m == 3
-        for v, w in zip(back.vectors, fam.vectors):
-            assert np.array_equal(v.as_array(), w.as_array())
+        assert np.array_equal(back.vectors.view(np.uint64), fam.vectors.view(np.uint64))
 
     def test_factorization_roundtrip(self):
         X, factors = five_factor_example()
@@ -85,20 +81,6 @@ class TestJsonIO:
         g = Graph.from_edges(5, [(0, 1), (3, 2)])
         back = jsonio.graph_from_json(json.loads(jsonio.dumps(jsonio.graph_to_json(g))))
         assert back.n == 5 and back.edges == g.edges
-
-    def test_representation_roundtrip(self):
-        from cpsdlab.quantum import representation_from_vectors
-
-        U = np.eye(3)[:2]
-        rep = representation_from_vectors(U, U)
-        back = jsonio.representation_from_json(
-            json.loads(jsonio.dumps(jsonio.representation_to_json(rep))))
-        assert isinstance(back, QuantumRepresentation)
-        assert back.d == rep.d
-        assert (back.m_a, back.m_b) == (rep.m_a, rep.m_b)
-        for side in ("row_observables", "col_observables"):
-            a, b = getattr(back, side), getattr(rep, side)
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_malformed_matrix_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -150,6 +132,15 @@ class TestGenerate:
         assert C.shape == (3, 3) and P.shape == (6, 6)
         assert payload["dimension_lower_bound"]["ceiling"] == 2
 
+    def test_exp_family_cone_vectors_golden_text(self, capsys):
+        # the a = -1 rows carry -0.0 where the unit vectors have zeros
+        _, out, _ = run_cli(capsys, "generate", "exp-family", "--n", "1")
+        h = "0.35355339059327373"
+        assert jsonio.dumps(json.loads(out)["payload"]["lorentz_vectors"]) == (
+            '{"m": 3, "vectors": [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], '
+            f'[0.5, {h}, {h}], [0.5, -0.5, -0.0], [0.5, -0.0, -0.5], '
+            f'[0.5, -{h}, -{h}]]}}')
+
     def test_odd_cycle_dnn(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "odd-cycle-dnn", "--t", "2")
         assert code == 0
@@ -163,6 +154,17 @@ class TestGenerate:
         payload = json.loads(out)["payload"]
         assert payload["certificate"]["valid"] is True
         assert len(payload["vectors"]["vectors"]) == 6
+
+    def test_cycle_sep_vectors_golden_text(self, capsys):
+        # math.cos and math.sin per vector, last bits included
+        _, out, _ = run_cli(capsys, "generate", "cycle-sep", "--n", "6")
+        assert jsonio.dumps(json.loads(out)["payload"]["vectors"]) == (
+            '{"m": 3, "vectors": [[1.0, 1.0, 0.0], '
+            '[1.0, 0.5000000000000001, 0.8660254037844386], '
+            '[1.0, -0.4999999999999998, 0.8660254037844387], '
+            '[1.0, -1.0, 1.2246467991473532e-16], '
+            '[1.0, -0.5000000000000004, -0.8660254037844384], '
+            '[1.0, 0.5000000000000001, -0.8660254037844386]]}')
 
     def test_eij_gram(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "eij-gram", "--r", "3")

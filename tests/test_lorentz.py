@@ -11,40 +11,79 @@ from cpsdlab.bell import behavior_matrix, exponential_family_vectors
 from cpsdlab.cpsdrank import verify_factorization
 from cpsdlab.errors import CapExceeded
 from cpsdlab.lorentz import (
+    MEMBER_TOL,
     GramLorentzFactorization,
-    LorentzVector,
     gl2_factorize,
     gl_matrix,
     gl_reduce,
     gl_to_cpsd,
+    in_cone,
     lorentz_embed,
 )
 from cpsdlab.matcore import spectral, trace_inner
 
 
 def vec(c, *x):
-    return LorentzVector(float(c), np.array(x, dtype=float))
+    return np.array((c, *x), dtype=float)
 
 
 def random_member(rng, m):
     x = rng.standard_normal(m - 1)
-    return LorentzVector(np.linalg.norm(x) * (1 + rng.uniform(0, 1)), x)
+    return np.concatenate(([np.linalg.norm(x) * (1 + rng.uniform(0, 1))], x))
 
 
 def random_gl_family(rng, n, m):
-    return GramLorentzFactorization(vectors=tuple(random_member(rng, m) for _ in range(n)))
+    return GramLorentzFactorization([random_member(rng, m) for _ in range(n)])
+
+
+def signed_halves(W):
+    # the cone vectors (1/2, (a/2) w), +1 block first
+    return GramLorentzFactorization([vec(0.5, *(0.5 * a * w)) for a in (1, -1) for w in W])
+
+
+def member(v):
+    return bool(in_cone(v[None])[0])
+
+
+def per_vector_rule(v):
+    # the membership rule as it was written for one vector at a time
+    return v[0] >= float(np.linalg.norm(v[1:])) - MEMBER_TOL
 
 
 class TestMembership:
     def test_axis(self):
-        assert vec(1, 0, 0).is_member
+        assert member(vec(1, 0, 0))
 
     def test_boundary_circle(self):
         th = 0.7
-        assert vec(1, math.cos(th), math.sin(th)).is_member
+        assert member(vec(1, math.cos(th), math.sin(th)))
 
     def test_outside(self):
-        assert not vec(1, 1.1, 0).is_member
+        assert not member(vec(1, 1.1, 0))
+
+    @pytest.mark.parametrize("offset", [-1e-9, -1e-11, 0.0, 1e-11, 1.0])
+    def test_rows_at_the_boundary_agree_with_the_per_vector_rule(self, offset):
+        rng = make_rng(7)
+        rows = []
+        for m in range(1, 12):
+            for _ in range(5):
+                x = rng.standard_normal(m - 1) * 10.0 ** rng.uniform(-2, 2)
+                rows.append(np.concatenate(([np.linalg.norm(x) + offset], x)))
+        for m in range(1, 12):  # one family per ambient dimension
+            V = np.array([r for r in rows if len(r) == m])
+            want = [per_vector_rule(v) for v in V]
+            assert in_cone(V).tolist() == want
+            assert all(want) == (offset > -MEMBER_TOL)
+            if all(want):
+                assert np.array_equal(GramLorentzFactorization(V).vectors, V)
+            else:
+                with pytest.raises(ValueError, match="vector 0 is outside the cone"):
+                    GramLorentzFactorization(V)
+
+    def test_first_outside_row_is_named_with_its_c_and_norm(self):
+        with pytest.raises(ValueError, match=r"^vector 1 is outside the cone: "
+                                             r"c = 1\.0, \|x\| = 1\.1$"):
+            GramLorentzFactorization([[1.0, 0.0, 0.0], [1.0, 1.1, 0.0], [-1.0, 0.0, 0.0]])
 
 
 class TestEmbed:
@@ -61,13 +100,13 @@ class TestEmbed:
 
     def test_axis_embeds_to_scaled_identity(self):
         for m in (3, 5, 8):
-            e = lorentz_embed(LorentzVector(1.0, np.zeros(m - 1)))
+            e = lorentz_embed(vec(1.0, *np.zeros(m - 1)))
             assert np.allclose(e.entries, np.eye(e.n) / math.sqrt(e.n))
 
     def test_budget_refuses_a_huge_factor(self):
         # m = 61 needs one 2^30 x 2^30 factor: refused from the estimate
         with pytest.raises(CapExceeded, match="budget"):
-            lorentz_embed(LorentzVector(1.0, np.zeros(60)))
+            lorentz_embed(vec(1.0, *np.zeros(60)))
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_isometry(self, m):
@@ -75,7 +114,7 @@ class TestEmbed:
         for _ in range(40):
             a, b = random_member(rng, m), random_member(rng, m)
             lhs = trace_inner(lorentz_embed(a), lorentz_embed(b))
-            rhs = float(a.as_array() @ b.as_array())
+            rhs = float(a @ b)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
     @pytest.mark.parametrize("m", range(2, 11))
@@ -85,14 +124,14 @@ class TestEmbed:
             x = rng.standard_normal(m - 1)
             x /= max(np.linalg.norm(x), 1e-9)
             offset = rng.choice([-1, 1]) * 10.0 ** rng.uniform(-7, -0.5)
-            v = LorentzVector(np.linalg.norm(x) + offset, x)
+            v = vec(np.linalg.norm(x) + offset, *x)
             assert spectral(lorentz_embed(v)).is_psd == (offset > 0)
-            assert v.is_member == (offset > 0)
+            assert member(v) == (offset > 0)
 
 
 class TestGlMatrix:
     def test_single_vector(self):
-        fam = GramLorentzFactorization(vectors=(vec(1, 0),))
+        fam = GramLorentzFactorization([vec(1, 0)])
         assert np.allclose(gl_matrix(fam), [[1.0]])
 
     def test_circle_family_first_row(self):
@@ -105,8 +144,7 @@ class TestGlMatrix:
         n = 1
         W = exponential_family_vectors(n)
         C = W @ W.T
-        fam = GramLorentzFactorization(vectors=tuple(
-            LorentzVector(0.5, 0.5 * a * w) for a in (1, -1) for w in W))
+        fam = signed_halves(W)
         assert np.abs(gl_matrix(fam) - behavior_matrix(C)).max() < 1e-12
 
 
@@ -123,8 +161,7 @@ class TestGlReduce:
         base = rng.standard_normal((3, 2))
         base /= np.linalg.norm(base, axis=1, keepdims=True)
         lifted = np.hstack([base, np.zeros((3, 4))])
-        fam = GramLorentzFactorization(vectors=tuple(
-            LorentzVector(0.5, 0.5 * a * u) for a in (1, -1) for u in lifted))
+        fam = signed_halves(lifted)
         X = gl_matrix(fam)
         red = gl_reduce(fam)
         assert red.m <= spectral(X).rank + 2
@@ -148,13 +185,11 @@ class TestGlReduce:
         base = rng.standard_normal((4, 2))
         tiny = 1e-10 * rng.standard_normal((4, 1))
         tails = np.hstack([base, tiny])
-        fam = GramLorentzFactorization(vectors=tuple(
-            LorentzVector(float(np.linalg.norm(t)) + 0.5, t) for t in tails))
+        fam = GramLorentzFactorization([vec(np.linalg.norm(t) + 0.5, *t) for t in tails])
         red = gl_reduce(fam)
         assert red.m <= 3  # the 1e-10 direction falls below the rank cut
         assert np.abs(gl_matrix(red) - gl_matrix(fam)).max() < 1e-8
-        for v in red.vectors:
-            assert v.is_member
+        assert in_cone(red.vectors).all()
 
 
 class TestGlToCpsd:
@@ -174,10 +209,7 @@ class TestGlToCpsd:
         assert verify_factorization(np.array([[2.0, 1.0], [1.0, 3.0]]), fact).ok
 
     def test_behavior_family_factor_size_bound(self):
-        W = exponential_family_vectors(1)
-        C = W @ W.T
-        fam = GramLorentzFactorization(vectors=tuple(
-            LorentzVector(0.5, 0.5 * a * w) for a in (1, -1) for w in W))
+        fam = signed_halves(exponential_family_vectors(1))
         fact = gl_to_cpsd(fam)
         assert fact.d <= 4  # 2^floor((r_max(3) + 2) / 2)
         assert verify_factorization(gl_matrix(fam), fact).ok
@@ -191,7 +223,7 @@ class TestGlToCpsd:
         d = 2
         for a in (1, -1):
             for w in W:
-                got = lorentz_embed(LorentzVector(0.5, 0.5 * a * w))
+                got = lorentz_embed(vec(0.5, *(0.5 * a * w)))
                 want = (np.eye(d) + a * gamma(w).entries) / 2 / math.sqrt(d)
                 assert np.abs(got.entries - want).max() < 1e-15
 
@@ -208,8 +240,7 @@ class TestGlToCpsd:
         # exp-family n = 9: each 512 x 512 factor fits the budget, the 342 of
         # them (1.34 GiB) do not, and none may be built before the refusal
         W = exponential_family_vectors(9)
-        fam = GramLorentzFactorization(vectors=tuple(
-            LorentzVector(0.5, 0.5 * a * w) for a in (1, -1) for w in W))
+        fam = signed_halves(W)
 
         def refuse(v):
             raise AssertionError("embedded a factor before checking the budget")
@@ -219,7 +250,7 @@ class TestGlToCpsd:
             gl_to_cpsd(fam)
 
     def test_zero_family_collapses_to_trivial_factors(self):
-        fam = GramLorentzFactorization(vectors=(vec(0, 0, 0), vec(1, 0, 0)))
+        fam = GramLorentzFactorization([vec(0, 0, 0), vec(1, 0, 0)])
         fact = gl_to_cpsd(fam)
         assert fact.d == 1
         assert verify_factorization(gl_matrix(fam), fact).ok
@@ -228,13 +259,13 @@ class TestGlToCpsd:
 class TestGl2Factorize:
     def test_orthogonal_case(self):
         fam = gl2_factorize(1.0, 0.0, 1.0)
-        a = np.stack([v.as_array() for v in fam.vectors])
+        a = gl2_factorize(1.0, 0.0, 1.0).vectors
         want = np.array([[1, 1, 0], [1, -1, 0]]) * math.sqrt(0.5)
         assert np.abs(a - want).max() < 1e-12
 
     def test_parallel_case(self):
         fam = gl2_factorize(1.0, 1.0, 1.0)
-        a = np.stack([v.as_array() for v in fam.vectors])
+        a = gl2_factorize(1.0, 1.0, 1.0).vectors
         want = np.array([[1, 1, 0], [1, 1, 0]]) * math.sqrt(0.5)
         assert np.abs(a - want).max() < 1e-12
 
@@ -270,14 +301,39 @@ class TestGl2Factorize:
         fam = gl2_factorize(a, b, c)
         target = np.array([[a, b], [b, c]])
         assert np.abs(gl_matrix(fam) - target).max() <= 1e-10 * max(1.0, a, c)
-        assert all(v.is_member for v in fam.vectors)
+        assert in_cone(fam.vectors).all()
 
 
 class TestFamilyValidation:
     def test_mixed_ambient_rejected(self):
-        with pytest.raises(ValueError, match="mixed"):
-            GramLorentzFactorization(vectors=(vec(1, 0), vec(1, 0, 0)))
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            GramLorentzFactorization([vec(1, 0), vec(1, 0, 0)])
 
     def test_nonmember_rejected_not_projected(self):
         with pytest.raises(ValueError, match="outside the cone"):
-            GramLorentzFactorization(vectors=(vec(1, 2, 0),))
+            GramLorentzFactorization([vec(1, 2, 0)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("col", [0, 1, 2])
+    def test_non_finite_entries_rejected(self, bad, col):
+        # c = inf used to pass the cone rule and put inf into gl_matrix
+        V = np.array([[1.0, 0.0, 0.0], [2.0, 1.0, -1.0]])
+        V[1, col] = bad
+        with pytest.raises(ValueError, match="cone vector entries must be finite"):
+            GramLorentzFactorization(V)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 0), (1, 2, 3), ()])
+    def test_non_matrix_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"\(n, m\) array with m >= 1"):
+            GramLorentzFactorization(np.ones(shape))
+
+    def test_vectors_are_a_read_only_copy(self):
+        V = np.array([[1.0, 0.5, -0.0], [2.0, 0.0, 1.0]])
+        fam = GramLorentzFactorization(V)
+        assert fam.vectors.shape == (2, 3) and fam.vectors.dtype == np.float64
+        assert (fam.n, fam.m) == (2, 3)
+        assert not fam.vectors.flags.writeable and fam.vectors.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            fam.vectors[0, 0] = 5.0
+        V[0, 0] = 5.0  # the caller's array stays writable and is not shared
+        assert fam.vectors[0, 0] == 1.0 and np.signbit(fam.vectors[0, 2])

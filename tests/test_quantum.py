@@ -129,6 +129,24 @@ class TestRepresentationFromVectors:
         with pytest.raises(ValueError, match="unit"):
             representation_from_vectors(np.array([[2.0, 0.0]]), np.array([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize("side", ["row", "column"])
+    def test_vector_longer_than_the_spectrum_tolerance_rejected_by_party(self, side):
+        # inside the 1e-8 unit tolerance, but gamma(u) would have eigenvalue
+        # 1 + 5e-9, beyond SPECTRUM_TOL
+        long = np.array([[1.0 + 5e-9, 0.0, 0.0]])
+        unit = np.eye(3)[:1]
+        U, V = (long, unit) if side == "row" else (unit, long)
+        with pytest.raises(ValueError, match=rf"^{side} vector longer than 1 \+ 1e-09: "
+                                             r"its length exceeds 1 by 5\.000e-09$"):
+            representation_from_vectors(U, V)
+
+    def test_vector_shorter_within_the_unit_tolerance_accepted(self):
+        short = np.array([[1.0 - 5e-9, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        rep = representation_from_vectors(short, short)
+        assert (rep.m_a, rep.m_b, rep.d) == (2, 2, 2)
+        w = np.linalg.eigvalsh(rep.row_observables[0])
+        assert np.allclose(w, [-(1.0 - 5e-9), 1.0 - 5e-9], rtol=0, atol=1e-15)
+
 
 class TestPairingPath:
     @pytest.mark.parametrize("d", [2, 8, 16, 32, 64])

@@ -84,8 +84,7 @@ class TestCheckNotCp:
     def test_six_cycle_family_passes(self):
         fam = cycle_vectors(6)
         pairs, subset = cycle_pairing(6)
-        vecs = np.stack([v.as_array() for v in fam.vectors])
-        cert = check_not_cp(vecs, pairs, subset)
+        cert = check_not_cp(fam.vectors, pairs, subset)
         assert cert.valid
         assert np.allclose(cert.center_c, [1, 0, 0], atol=1e-12)
         assert len(cert.odd_subset_J) == 3
@@ -93,13 +92,12 @@ class TestCheckNotCp:
     def test_ten_cycle_family_passes(self):
         fam = cycle_vectors(10)
         pairs, subset = cycle_pairing(10)
-        vecs = np.stack([v.as_array() for v in fam.vectors])
-        assert check_not_cp(vecs, pairs, subset).valid
+        assert check_not_cp(fam.vectors, pairs, subset).valid
 
     def test_perturbation_invalidates(self):
         fam = cycle_vectors(6)
         pairs, subset = cycle_pairing(6)
-        vecs = np.stack([v.as_array() for v in fam.vectors])
+        vecs = fam.vectors.copy()
         vecs[1] = vecs[1] + 0.1
         cert = check_not_cp(vecs, pairs, subset)
         assert not cert.valid
@@ -109,9 +107,8 @@ class TestCheckNotCp:
     def test_even_subset_rejected(self):
         fam = cycle_vectors(6)
         pairs, _ = cycle_pairing(6)
-        vecs = np.stack([v.as_array() for v in fam.vectors])
         with pytest.raises(ValueError, match="odd"):
-            check_not_cp(vecs, pairs, [0, 2])
+            check_not_cp(fam.vectors, pairs, [0, 2])
 
     def test_zero_center_rejected(self):
         vecs = np.array([[1.0, 0.0], [-1.0, 0.0]])
