@@ -22,6 +22,7 @@ from .lorentz import (
     gl_to_cpsd,
     in_cone,
     lorentz_embed,
+    lorentz_embeds,
 )
 from .cpsdrank import (
     BoundReport,

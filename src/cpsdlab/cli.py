@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bell, cpsdrank, jsonio, lorentz, quantum, separations
 from .errors import CapExceeded, VerificationError
-from .matcore import HermMatrix, _symmetric, gram_vectors, spectral
+from .matcore import _symmetric, gram_vectors, spectral
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -57,12 +57,14 @@ def _read_json(path: str) -> dict:
 
 
 def _write_result(result: CommandResult, out: str | None) -> None:
-    text = jsonio.dumps(result.to_json()) + "\n"
+    text = jsonio.dumps(result.to_json())
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.write("\n")
     else:
         sys.stdout.write(text)
+        sys.stdout.write("\n")
 
 
 # command handlers ------------------------------------------------------
@@ -135,12 +137,11 @@ def _cmd_generate(args) -> CommandResult:
 
 def _pair_perturbation_gram(r: int):
     """Gram matrix of the psd family I_r + e_i e_j^T + e_j e_i^T (i < j)."""
-    eye = np.eye(r)
-    mats = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            mats.append(HermMatrix(eye + np.outer(eye[i], eye[j]) + np.outer(eye[j], eye[i])))
-    fact = cpsdrank.CpsdFactorization(d=r, factors=tuple(mats))
+    i, j = np.triu_indices(r, 1)
+    k = np.arange(len(i))
+    S = np.tile(np.eye(r), (len(i), 1, 1))
+    S[k, i, j] = S[k, j, i] = 1.0
+    fact = cpsdrank.CpsdFactorization(d=r, factors=S)
     return fact.gram(), fact
 
 
@@ -355,7 +356,26 @@ def _check_tol(args) -> None:
         raise ValueError(f"--tol must be a finite nonnegative number, got {tol!r}")
 
 
+def _attach_tol_values(argv: list) -> list:
+    """argv with each "--tol VALUE" whose VALUE parses as a float but starts
+    with "-" (such as -inf or -nan, which argparse would take for an option)
+    joined into "--tol=VALUE", so `_check_tol` sees and refuses it."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--tol" and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--tol={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def _run(argv) -> int:
+    argv = _attach_tol_values(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(argv)
     try:
         _check_tol(args)

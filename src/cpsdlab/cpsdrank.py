@@ -2,6 +2,11 @@
 size-preserving combinators, and lower bounds on the smallest achievable
 factor size.
 
+A factorization holds its n factors as one read-only (n, d, d) complex stack,
+validated once; the Gram matrix is one product of the flattened stack, and
+the combinators (scale, permute, add, dsum, conjugate, compress) are array
+expressions over it.
+
 The smallest factor size itself is never "computed"; the honest output is a
 BoundReport pairing certified lower bounds with an optional constructive
 upper bound.
@@ -16,38 +21,92 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded
-from .matcore import (PSD_TOL, RANK_TOL, HermMatrix, _square, _symmetric, direct_sum,
+from .matcore import (PSD_TOL, RANK_TOL, _chunks, _hermitian_stack, _square, _symmetric,
                       gram_vectors, spectral, trace_pairings)
 
 HADAMARD_ENTRY_CAP = 20
+INVOLUTION_TOL = 1e-8  # relative residual up to which a factor is certified without eigenvalues
+
+
+def _psd_certified(S: np.ndarray) -> np.ndarray:
+    """For each matrix P of the Hermitian stack S, whether P is certified psd
+    without an eigendecomposition; False means undecided, not refused.
+
+    With t = Tr P / d, Q = P - t I, s^2 = Tr Q^2 / d and r = ||Q^2 - s^2 I||_F,
+    every eigenvalue q of Q has |q^2 - s^2| <= r, so the eigenvalues of P lie
+    in t +- sqrt(s^2 + r), and Q, traceless, has its largest eigenvalue at
+    least sqrt(s^2 - r). Only a Q close to a scaled involution is tried
+    (0 < r <= INVOLUTION_TOL s^2); an embedded cone vector has
+    Q^2 = |x|^2 I / d. It is accepted when the lower bound on lambda_min
+    meets spectral's cut -PSD_TOL max(1, |lambda_max|) taken at the lower bound
+    on lambda_max, so the certificate never accepts what `spectral` refuses.
+    The rounding of the sums and products is charged against both bounds.
+    """
+    d = S.shape[-1]
+    eps = d * np.finfo(float).eps  # the rounding of a sum of d terms
+    idx = np.arange(d)
+    out = []
+    for P in _chunks(S):
+        t = np.trace(P, axis1=1, axis2=2).real / d
+        Q = P.copy()
+        Q[:, idx, idx] -= t[:, None]
+        R = Q @ Q
+        s2 = np.trace(R, axis1=1, axis2=2).real / d
+        R[:, idx, idx] -= s2[:, None]
+        r = np.linalg.norm(R.reshape(len(R), -1), axis=1) + d * eps * s2
+        err = eps * (np.abs(t) + np.sqrt(s2))
+        low = t - np.sqrt(s2 + r) - err
+        high = t + np.sqrt(np.maximum(s2 - r, 0.0)) - err
+        out.append((s2 > 0) & (r <= INVOLUTION_TOL * s2)
+                   & (low >= -PSD_TOL * np.maximum(1.0, high)))
+    return np.concatenate(out)
 
 
 @dataclass(frozen=True, eq=False)
 class CpsdFactorization:
-    """Family of same-size Hermitian psd factors; psd is enforced at construction."""
+    """Family of n same-size Hermitian psd factors.
+
+    ``factors`` is one read-only complex stack of shape (n, d, d), n, d >= 1,
+    that owns its memory. It is validated once, here: finite entries,
+    Hermitian up to ``HERM_TOL`` (see `_hermitian_stack`) and every factor psd
+    as `spectral` decides it. Factors that `_psd_certified` accepts, every
+    embedded cone vector among them, need no eigendecomposition; the rest are
+    decided by spectral's rule on one batched eigvalsh. Any sequence of n
+    matrices of size d may be passed in.
+    """
 
     d: int
-    factors: tuple[HermMatrix, ...]
+    factors: np.ndarray
 
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError("factor size must be at least 1")
-        if not self.factors:
+        if len(self.factors) == 0:
             raise ValueError("factorization needs at least one factor")
         for k, p in enumerate(self.factors):
-            if p.n != self.d:
-                raise ValueError(f"factor {k} has size {p.n}, expected {self.d}")
-            if not spectral(p).is_psd:
-                raise ValueError(f"factor {k} is not positive semidefinite")
+            shape = np.shape(p)
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError(f"expected a square matrix, got shape {shape}")
+            if shape[0] != self.d:
+                raise ValueError(f"factor {k} has size {shape[0]}, expected {self.d}")
+        S = _hermitian_stack(self.factors, "matrix")
+        undecided = np.flatnonzero(~_psd_certified(S))
+        if undecided.size:
+            w = np.linalg.eigvalsh(S[undecided])
+            # spectral's rule: lambda_min >= -PSD_TOL max(1, |lambda_max|)
+            refused = undecided[w[:, 0] < -PSD_TOL * np.maximum(1.0, np.abs(w[:, -1]))]
+            if refused.size:
+                raise ValueError(f"factor {refused[0]} is not positive semidefinite")
+        object.__setattr__(self, "factors", S)
 
     @property
     def n(self) -> int:
         return len(self.factors)
 
     def gram(self) -> np.ndarray:
-        """The matrix Tr(P_i P_j) this family factorizes (P_j = P_j*)."""
-        F = np.stack([p.entries for p in self.factors])
-        return trace_pairings(F, F).real
+        """The matrix Tr(P_i P_j) this family factorizes (P_j = P_j*), as one
+        complex product of the flattened stack."""
+        return trace_pairings(self.factors, self.factors).real
 
 
 @dataclass(frozen=True)
@@ -181,8 +240,7 @@ def scale(f: CpsdFactorization, diag: np.ndarray) -> CpsdFactorization:
         raise ValueError(f"diagonal length {dvec.shape} does not match factor count {f.n}")
     if dvec.min() <= 0:
         raise ValueError("diagonal entries must be strictly positive")
-    return CpsdFactorization(
-        d=f.d, factors=tuple(HermMatrix(w * p.entries) for w, p in zip(dvec, f.factors)))
+    return CpsdFactorization(d=f.d, factors=dvec[:, None, None] * f.factors)
 
 
 def permute(f: CpsdFactorization, perm) -> CpsdFactorization:
@@ -190,25 +248,25 @@ def permute(f: CpsdFactorization, perm) -> CpsdFactorization:
     p = list(perm)
     if sorted(p) != list(range(f.n)):
         raise ValueError(f"not a permutation of 0..{f.n - 1}: {p}")
-    return CpsdFactorization(d=f.d, factors=tuple(f.factors[i] for i in p))
+    return CpsdFactorization(d=f.d, factors=f.factors[p])
 
 
 def add(f: CpsdFactorization, g: CpsdFactorization) -> CpsdFactorization:
     """Factorization of X + Y via blockwise factors P_i (+) Q_i."""
     if f.n != g.n:
         raise ValueError(f"factor counts differ: {f.n} vs {g.n}")
-    return CpsdFactorization(
-        d=f.d + g.d,
-        factors=tuple(direct_sum(p, q) for p, q in zip(f.factors, g.factors)))
+    out = np.zeros((f.n, f.d + g.d, f.d + g.d), dtype=complex)
+    out[:, :f.d, :f.d] = f.factors
+    out[:, f.d:, f.d:] = g.factors
+    return CpsdFactorization(d=f.d + g.d, factors=out)
 
 
 def dsum(f: CpsdFactorization, g: CpsdFactorization) -> CpsdFactorization:
     """Factorization of the block-diagonal X (+) Y; factor sizes and counts add."""
-    zero_g = HermMatrix(np.zeros((g.d, g.d)))
-    zero_f = HermMatrix(np.zeros((f.d, f.d)))
-    padded_f = [direct_sum(p, zero_g) for p in f.factors]
-    padded_g = [direct_sum(zero_f, q) for q in g.factors]
-    return CpsdFactorization(d=f.d + g.d, factors=tuple(padded_f + padded_g))
+    out = np.zeros((f.n + g.n, f.d + g.d, f.d + g.d), dtype=complex)
+    out[:f.n, :f.d, :f.d] = f.factors
+    out[f.n:, f.d:, f.d:] = g.factors
+    return CpsdFactorization(d=f.d + g.d, factors=out)
 
 
 def conjugate(f: CpsdFactorization, U: np.ndarray) -> CpsdFactorization:
@@ -222,8 +280,7 @@ def conjugate(f: CpsdFactorization, U: np.ndarray) -> CpsdFactorization:
         raise ValueError(f"unitary must be {f.d} x {f.d}, got {u.shape}")
     if np.abs(u.conj().T @ u - np.eye(f.d)).max() > 1e-10:
         raise ValueError("matrix is not unitary")
-    return CpsdFactorization(
-        d=f.d, factors=tuple(HermMatrix(u.conj().T @ p.entries @ u) for p in f.factors))
+    return CpsdFactorization(d=f.d, factors=u.conj().T @ f.factors @ u)
 
 
 def compress(f: CpsdFactorization, rank_tol: float = RANK_TOL) -> CpsdFactorization:
@@ -234,18 +291,12 @@ def compress(f: CpsdFactorization, rank_tol: float = RANK_TOL) -> CpsdFactorizat
     result never has larger factors, and for a size-optimal input it is a
     no-op.
     """
-    total = np.sum([p.entries for p in f.factors], axis=0)
-    w, Q = np.linalg.eigh(total)  # a sum of exactly Hermitian factors
-    keep = w > rank_tol * max(1.0, abs(float(w[-1])))
-    basis = Q[:, keep]
-    r = int(keep.sum())
-    if r == 0:
+    w, Q = np.linalg.eigh(f.factors.sum(axis=0))  # a sum of exactly Hermitian factors
+    basis = Q[:, w > rank_tol * max(1.0, abs(float(w[-1])))]
+    if basis.shape[1] == 0:
         # all factors numerically zero
-        return CpsdFactorization(
-            d=1, factors=tuple(HermMatrix(np.zeros((1, 1))) for _ in f.factors))
-    return CpsdFactorization(
-        d=r,
-        factors=tuple(HermMatrix(basis.conj().T @ p.entries @ basis) for p in f.factors))
+        return CpsdFactorization(d=1, factors=np.zeros((f.n, 1, 1)))
+    return CpsdFactorization(d=basis.shape[1], factors=basis.conj().T @ f.factors @ basis)
 
 
 def hadamard_sqrt_psd(X: np.ndarray, entry_cap: int = HADAMARD_ENTRY_CAP,
@@ -287,13 +338,9 @@ def rank_one_factors(root: np.ndarray, rank_tol: float = RANK_TOL) -> CpsdFactor
     rank of the root.
     """
     V = gram_vectors(np.asarray(root, dtype=float), rank_tol=rank_tol)
-    r = max(1, V.shape[1])
-    factors = []
-    for row in V:
-        v = np.zeros(r)
-        v[: V.shape[1]] = row
-        factors.append(HermMatrix(np.outer(v, v)))
-    return CpsdFactorization(d=r, factors=tuple(factors))
+    W = np.zeros((len(V), max(1, V.shape[1])))
+    W[:, : V.shape[1]] = V
+    return CpsdFactorization(d=W.shape[1], factors=W[:, :, None] * W[:, None, :])
 
 
 def bound_report(X: np.ndarray, scale_search: bool = False, iters: int = 100,

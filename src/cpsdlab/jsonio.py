@@ -1,17 +1,27 @@
 """JSON encodings for every value the command-line surface exchanges.
 
-Encoding is the standard library's: floats are written as their shortest
-round-trip text (``repr``), which parses back bit-identical, and dict key
-order is insertion order, so identical inputs produce byte-identical output.
-Numpy arrays and scalars are converted to lists and Python numbers; NaN and
-infinities are refused on output, and the matrix and cone-vector readers
-refuse them (and ``null``) on input.
+Output is byte for byte what ``json.dumps(obj, allow_nan=False)`` writes
+once every numpy array is converted by ``tolist()`` and every numpy scalar by
+``item()``: floats are written as their shortest round-trip text (``repr``),
+which parses back bit-identical, and dict key order is insertion order, so
+identical inputs produce byte-identical output. NaN and infinities are
+refused on output, and the matrix and cone-vector readers refuse them (and
+``null``) on input.
+
+The writers hand arrays, not lists, to `dumps`. The standard library's
+encoder writes the payload around them, with a placeholder for each finite
+float64 array of at least TABLE_MIN_SIZE values, and every such array of one
+call is then written from one ``float.__repr__`` per distinct value: values
+are told apart by their 64-bit pattern, so -0.0 stays distinct from 0.0.
+Smaller arrays, and payloads without float arrays, go through the standard
+encoder alone.
 
 Formats:
   matrix         {"n": int, "complex": bool, "entries": flat row-major,
                   complex entries as [re, im] pairs}
   lorentz family {"m": int, "vectors": [[c, x_1, ...], ...]}
-  factorization  {"d": int, "factors": [matrix, ...]}
+  factorization  {"d": int, "factors": [matrix, ...]}  (complex factors,
+                  written from and read into one (n, d, d) stack)
   behavior       {"mA": int, "mB": int, "table": nested [a][b][x][y]}
   graph          {"n": int, "edges": [[u, v], ...]}  (0-indexed)
 """
@@ -28,6 +38,8 @@ from .lorentz import GramLorentzFactorization
 from .matcore import HermMatrix, _finite, _square
 from .separations import Graph, NotCpCertificate, NotVnaCertificate
 
+TABLE_MIN_SIZE = 256  # below this many values, tolist() is the faster way to write an array
+
 
 def _numpy_default(obj):
     if isinstance(obj, np.ndarray):
@@ -38,10 +50,68 @@ def _numpy_default(obj):
 
 
 def dumps(obj) -> str:
+    arrays = []
+
+    def default(o):
+        if (isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim
+                and o.size >= TABLE_MIN_SIZE and np.isfinite(o).all()):
+            arrays.append(o)
+            return "\0"
+        return _numpy_default(o)
+
     try:
-        return json.dumps(obj, allow_nan=False, default=_numpy_default)
+        text = json.dumps(obj, allow_nan=False, default=default)
     except ValueError as exc:
         raise ValueError(f"cannot serialize non-finite float: {exc}") from exc
+    if not arrays:
+        return text
+    if text.count("\\u0000") != len(arrays):
+        # a string of the payload holds a NUL character: write it the long way
+        return json.dumps(obj, allow_nan=False, default=_numpy_default)
+    parts = text.split('"\\u0000"')
+    out = parts[:1]
+    for array_text, part in zip(_array_texts(arrays), parts[1:]):
+        out += (array_text, part)
+    return "".join(out)
+
+
+def _distinct(b: np.ndarray) -> np.ndarray:
+    """The distinct values of b, sorted (faster here than np.unique's hash table)."""
+    b = np.sort(b)
+    return b[np.concatenate(([True], b[1:] != b[:-1]))]
+
+
+def _array_texts(arrays: list) -> list:
+    """The text ``tolist()`` gives each finite, nonempty float64 array of at
+    least one dimension, from one ``float.__repr__`` per distinct bit pattern
+    over all of them.
+
+    Each value is followed by the separator its position needs: ", " inside
+    the last axis, "], [" where one axis ends, "]], [[" where two do, and
+    nothing after the last value, so an array is one join of table entries.
+    Arrays are deduplicated one at a time first, so no temporary outgrows
+    the largest array.
+    """
+    bits = [a.ravel().view(np.uint64) for a in arrays]
+    distinct = _distinct(np.concatenate([_distinct(b) for b in bits]))
+    reprs = list(map(float.__repr__, distinct.view(np.float64).tolist()))
+    tables, offsets, texts = {}, {}, []
+    for a, b in zip(arrays, bits):
+        ndim = a.ndim
+        if ndim not in tables:
+            seps = ["]" * c + ", " + "[" * c for c in range(ndim)] + [""]
+            tables[ndim] = np.array([r + sep for sep in seps for r in reprs], dtype=object)
+        if a.shape not in offsets:
+            # how many axes end at each position picks the separator's table row
+            k = np.arange(1, a.size + 1)
+            ends, stride = np.zeros(a.size, dtype=np.intp), 1
+            for length in reversed(a.shape):
+                stride *= length
+                ends += k % stride == 0
+            offsets[a.shape] = ends * len(reprs)
+        items = tables[ndim][offsets[a.shape] + np.searchsorted(distinct, b)]
+        texts.append("[" * ndim + "".join(items.tolist()) + "]" * ndim)
+    return texts
 
 
 def loads(text: str):
@@ -60,16 +130,20 @@ def _finite_array(values, what: str) -> np.ndarray:
 
 # matrices -------------------------------------------------------------
 
+def _complex_entries(a: np.ndarray) -> np.ndarray:
+    """The entries of a complex matrix as [re, im] rows, row-major: a float view."""
+    return a.reshape(-1).view(float).reshape(-1, 2)
+
+
 def matrix_to_json(M) -> dict:
     if isinstance(M, HermMatrix):
-        pairs = M.entries.ravel().view(float).reshape(-1, 2)
-        return {"n": M.n, "complex": True, "entries": pairs.tolist()}
+        return {"n": M.n, "complex": True, "entries": _complex_entries(M.entries)}
     a = _square(M)
-    return {"n": int(a.shape[0]), "complex": False, "entries": a.ravel().tolist()}
+    return {"n": int(a.shape[0]), "complex": False, "entries": a.ravel()}
 
 
-def matrix_from_json(obj: dict):
-    """HermMatrix when "complex" is set, plain real ndarray otherwise."""
+def _matrix_entries(obj: dict) -> np.ndarray:
+    """The (n, n) entries of a matrix JSON object, complex when "complex" is set."""
     try:
         n = int(obj["n"])
         is_complex = bool(obj.get("complex", False))
@@ -81,9 +155,13 @@ def matrix_from_json(obj: dict):
     arr = _finite_array(entries, "matrix")
     if arr.shape != ((n * n, 2) if is_complex else (n * n,)):
         raise ValueError(f"expected {n * n} entries, got an array of shape {arr.shape}")
-    if is_complex:
-        return HermMatrix(arr.view(complex).reshape(n, n))
-    return arr.reshape(n, n)
+    return arr.view(complex).reshape(n, n) if is_complex else arr.reshape(n, n)
+
+
+def matrix_from_json(obj: dict):
+    """HermMatrix when "complex" is set, plain real ndarray otherwise."""
+    a = _matrix_entries(obj)
+    return HermMatrix(a) if a.dtype.kind == "c" else a
 
 
 # lorentz families -----------------------------------------------------
@@ -109,12 +187,8 @@ def lorentz_from_json(obj: dict) -> GramLorentzFactorization:
 # psd-factor factorizations --------------------------------------------
 
 def factorization_to_json(f: CpsdFactorization) -> dict:
-    return {"d": f.d, "factors": [matrix_to_json(p) for p in f.factors]}
-
-
-def _herm_from_json(obj: dict) -> HermMatrix:
-    m = matrix_from_json(obj)
-    return m if isinstance(m, HermMatrix) else HermMatrix(m)
+    return {"d": f.d, "factors": [{"n": f.d, "complex": True, "entries": _complex_entries(p)}
+                                  for p in f.factors]}
 
 
 def factorization_from_json(obj: dict) -> CpsdFactorization:
@@ -123,7 +197,7 @@ def factorization_from_json(obj: dict) -> CpsdFactorization:
         factors = obj["factors"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed factorization JSON: {exc}") from exc
-    return CpsdFactorization(d=d, factors=tuple(_herm_from_json(m) for m in factors))
+    return CpsdFactorization(d=d, factors=[_matrix_entries(m) for m in factors])
 
 
 # behaviors ------------------------------------------------------------

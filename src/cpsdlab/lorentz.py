@@ -16,9 +16,10 @@ inner products and no cone memberships.
 
 Gram matrices of cone vectors therefore always admit psd-factor
 factorizations, with factor size controlled by the matrix rank via
-`gl_reduce`. The factors are dense, d^2 complex doubles each; a family whose
-factors together exceed `clifford.DENSE_BUDGET` bytes is refused with
-CapExceeded before any factor is built.
+`gl_reduce`. The factors are dense, d^2 complex doubles each, and a family's
+factors are one (n, d, d) stack built by `lorentz_embeds` from one `gammas`
+fill; a family whose factors together exceed `clifford.DENSE_BUDGET` bytes
+is refused with CapExceeded before any factor is built.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import _gamma_size, gamma
+from .clifford import gammas
 from .cpsdrank import CpsdFactorization
 from .matcore import RANK_TOL, HermMatrix, _finite, _freeze, gram_vectors
 
@@ -81,17 +82,30 @@ class GramLorentzFactorization:
         return self.vectors.shape[1]
 
 
+def lorentz_embeds(V) -> np.ndarray:
+    """The embeddings (c I + gamma(x)) / sqrt(d) of the rows (c, x) of V, as
+    one (n, d, d) complex stack: one `gammas` fill over the tails, c added on
+    the diagonals and the whole stack divided by sqrt(d). Tails of length 1
+    are padded to 2, and rows (c,) map to the 1 x 1 matrices [c]. Every image
+    is exactly Hermitian with no -0.0 entry, and the stack counts against the
+    gamma byte budget before it is allocated."""
+    V = np.asarray(V, dtype=float)
+    c, tails = V[:, 0], V[:, 1:]
+    if tails.shape[1] == 0:
+        return (c[:, None, None] + 0.0).astype(complex)  # c = -0.0 gives [0.0]
+    if tails.shape[1] == 1:
+        tails = np.hstack((tails, np.zeros_like(tails)))
+    S = gammas(tails)
+    d = S.shape[1]
+    S.reshape(len(S), -1)[:, :: d + 1] += c[:, None]
+    S /= np.sqrt(d)
+    return S
+
+
 def lorentz_embed(v) -> HermMatrix:
-    """Isometric embedding (c I + gamma(x)) / sqrt(d) of one row v = (c, x)."""
-    v = np.asarray(v, dtype=float)
-    c, tail = v[0], v[1:]
-    if tail.shape[0] == 1:
-        tail = np.array([tail[0], 0.0])
-    if tail.shape[0] == 0:
-        return HermMatrix(np.array([[c]], dtype=complex))
-    g = gamma(tail).entries
-    d = g.shape[0]
-    return HermMatrix((c * np.eye(d) + g) / np.sqrt(d))
+    """Isometric embedding (c I + gamma(x)) / sqrt(d) of one row v = (c, x):
+    the one-row case of `lorentz_embeds`."""
+    return HermMatrix(lorentz_embeds(np.asarray(v, dtype=float)[None])[0])
 
 
 def gl_matrix(f: GramLorentzFactorization) -> np.ndarray:
@@ -124,10 +138,8 @@ def gl_to_cpsd(f: GramLorentzFactorization, rank_tol: float = RANK_TOL) -> CpsdF
     rank = rank(gl_matrix(f)). Raises CapExceeded before embedding when the
     dense factors together exceed the gamma byte budget.
     """
-    reduced = gl_reduce(f, rank_tol=rank_tol)
-    _gamma_size(reduced.m - 1, count=reduced.n)
-    factors = tuple(lorentz_embed(v) for v in reduced.vectors)
-    return CpsdFactorization(d=factors[0].n, factors=factors)
+    S = _freeze(lorentz_embeds(gl_reduce(f, rank_tol=rank_tol).vectors))
+    return CpsdFactorization(d=S.shape[1], factors=S)
 
 
 def gl2_factorize(a: float, b: float, c: float) -> GramLorentzFactorization:

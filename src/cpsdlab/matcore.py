@@ -22,6 +22,7 @@ import numpy as np
 HERM_TOL = 1e-12
 RANK_TOL = 1e-8
 PSD_TOL = 1e-9
+CHUNK_BYTES = 2 ** 20  # temporaries of a stack-wide check are built this many bytes at a time
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -54,6 +55,37 @@ def _symmetric(X, tol: float = 1e-10, dtype=float) -> np.ndarray:
         kind = "symmetric" if a.dtype.kind == "f" else "Hermitian"
         raise ValueError(f"matrix is not {kind}: asymmetry {asym:.3e} > {tol:.0e}")
     return (a + a.conj().T) / 2
+
+
+def _chunks(S: np.ndarray):
+    """Consecutive slices of the stack S holding at most CHUNK_BYTES of matrices
+    (at least one matrix each)."""
+    step = max(1, CHUNK_BYTES // max(1, S[0].nbytes))
+    return (S[i:i + step] for i in range(0, len(S), step))
+
+
+def _hermitian_stack(S, what: str) -> np.ndarray:
+    """S as a finite complex (m, d, d) stack, m >= 1, that is read-only, in C
+    order and owns its memory; raises ValueError on non-finite entries and
+    names the asymmetry of the first matrix that exceeds HERM_TOL.
+
+    Smaller asymmetry is round-off and is removed by symmetrizing, as
+    HermMatrix does. An exactly Hermitian stack is kept as it is, and copied
+    only when it is writable, a view or not in C order; a read-only array
+    that owns its memory is trusted not to change.
+    """
+    S = _finite(np.asarray(S, dtype=complex), what)
+    asym = np.concatenate([np.abs(c - c.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+                           for c in _chunks(S)])
+    bad = np.flatnonzero(asym > HERM_TOL)
+    if bad.size:
+        raise ValueError(f"{what} is not Hermitian: asymmetry {asym[bad[0]]:.3e} "
+                         f"> {HERM_TOL:.0e}")
+    if asym.any():
+        S = np.ascontiguousarray((S + S.conj().transpose(0, 2, 1)) / 2)
+    elif S.flags.writeable or not (S.flags.owndata and S.flags.c_contiguous):
+        S = S.copy()
+    return _freeze(S)
 
 
 def _unit_rows(V, what: str, tol: float = 1e-8) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .bell import Behavior, FullCorrelation, OUTCOMES
 from .clifford import _gamma_size, gammas
 from .errors import CapExceeded
-from .matcore import HERM_TOL, HermMatrix, _finite, _freeze, _unit_rows, spectral
+from .matcore import HermMatrix, _freeze, _hermitian_stack, _unit_rows, spectral
 
 EXPLICIT_PATH_CAP = 64
 SPECTRUM_TOL = 1e-9  # observable eigenvalues may exceed 1 in size by this much
@@ -51,12 +51,7 @@ def _within_unit_interval(m: np.ndarray) -> bool:
 def _observable_stack(obs, d: int, side: str) -> np.ndarray:
     """obs as a read-only (m, d, d) complex stack of m >= 1 Hermitian
     matrices with spectrum in [-1, 1]; raises ValueError naming the party
-    otherwise.
-
-    Asymmetry up to HERM_TOL is round-off and is removed by symmetrizing,
-    as HermMatrix does. An exactly Hermitian stack is kept as it is, and
-    copied only when it is writable or not in C order; a read-only input is
-    trusted not to change.
+    otherwise. Asymmetry and copies are handled by `_hermitian_stack`.
     """
     s = np.asarray(obs, dtype=complex)
     if s.ndim >= 1 and len(s) == 0:
@@ -65,19 +60,11 @@ def _observable_stack(obs, d: int, side: str) -> np.ndarray:
     if s.ndim != 3 or s.shape[1:] != (d, d):
         raise ValueError(f"{side} observables: expected a stack of matrices of "
                          f"size d = {d}, got shape {s.shape}")
-    _finite(s, f"{side} observable")
-    asym = max(float(np.abs(m - m.conj().T).max()) for m in s)
-    if asym > HERM_TOL:
-        raise ValueError(f"{side} observable is not Hermitian: asymmetry "
-                         f"{asym:.3e} > {HERM_TOL:.0e}")
-    if asym > 0.0:
-        s = np.ascontiguousarray((s + s.conj().transpose(0, 2, 1)) / 2)
-    elif s.flags.writeable or not s.flags.c_contiguous:
-        s = s.copy()  # C order, so the pairing's reshapes are views
+    s = _hermitian_stack(s, f"{side} observable")
     for m in s:
         if not _within_unit_interval(m):
             raise ValueError(f"{side} observable has an eigenvalue outside [-1, 1]")
-    return _freeze(s)
+    return s
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cpsdrank import CpsdFactorization
 from .lorentz import GramLorentzFactorization
-from .matcore import RANK_TOL, HermMatrix, _symmetric, gram_vectors, spectral
+from .matcore import RANK_TOL, _symmetric, gram_vectors, spectral
 
 
 @dataclass(frozen=True)
@@ -88,24 +88,20 @@ def support_bound_witness(G) -> tuple[CpsdFactorization, int]:
         raise TypeError("expected a Graph")
     n = G.n
     if not G.edges:
-        eye = np.eye(n)
-        factors = tuple(HermMatrix(np.outer(eye[u], eye[u])) for u in range(n))
-        return CpsdFactorization(d=n, factors=factors), n
+        return CpsdFactorization(d=n, factors=np.eye(n)[:, :, None] * np.eye(n)[:, None, :]), n
     A = G.adjacency()
     w = np.linalg.eigvalsh(A)
     tau = float(w[0])
     mult = int(np.count_nonzero(np.abs(w - tau) <= RANK_TOL * max(1.0, float(np.abs(w).max()))))
     shifted = A - tau * np.eye(n)
     V = gram_vectors(shifted)
-    d = max(1, V.shape[1])
-    factors = []
-    for row in V:
+    W = np.zeros((n, max(1, V.shape[1])))
+    for row, v in zip(V, W):
         norm = float(np.linalg.norm(row))
-        v = np.zeros(d)
         if norm > 0:
             v[: V.shape[1]] = row / norm
-        factors.append(HermMatrix(np.outer(v, v)))
-    return CpsdFactorization(d=d, factors=tuple(factors)), n - mult
+    # + 0.0 writes the product of a zero and a negative coordinate as 0.0, not -0.0
+    return CpsdFactorization(d=W.shape[1], factors=W[:, :, None] * W[:, None, :] + 0.0), n - mult
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,7 @@ and the hand-checked five-factor example used across the suite."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 
@@ -136,3 +137,18 @@ def svec_rows(V: np.ndarray) -> np.ndarray:
     iu = np.triu_indices(V.shape[1], k=1)
     return np.array([np.concatenate((np.diag(M), math.sqrt(2.0) * M[iu]))
                      for M in (np.outer(v, v) for v in V)])
+
+
+def _tolist_default(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"cannot serialize {type(obj)}")
+
+
+def json_oracle(obj) -> str:
+    """The JSON text of obj written the plain way: every numpy array through
+    tolist(), every numpy scalar through item(), then the standard encoder.
+    `jsonio.dumps` must produce these bytes."""
+    return json.dumps(obj, allow_nan=False, default=_tolist_default)

@@ -62,7 +62,7 @@ def _report(num: int, text: str) -> None:
 def test_criterion_01_five_factor_reproduction():
     X, mats = five_factor_example()
     fact = CpsdFactorization(
-        d=4, factors=tuple(HermMatrix(m.astype(complex)) for m in mats))
+        d=4, factors=mats)
     report = verify_factorization(X, fact, tol=1e-12)
     assert report.ok and report.max_residual < 1e-12
     # runtime of the residual computation itself, warm, best of five

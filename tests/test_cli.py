@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -66,8 +67,7 @@ class TestJsonIO:
 
     def test_factorization_roundtrip(self):
         X, factors = five_factor_example()
-        fact = CpsdFactorization(
-            d=4, factors=tuple(HermMatrix(f.astype(complex)) for f in factors))
+        fact = CpsdFactorization(d=4, factors=factors)
         back = jsonio.factorization_from_json(
             json.loads(jsonio.dumps(jsonio.factorization_to_json(fact))))
         assert verify_factorization(X, back, tol=1e-12).ok
@@ -255,8 +255,7 @@ class TestBound:
     def test_known_example_with_verified_upper(self, capsys, tmp_path):
         X, factors = five_factor_example()
         mpath = write_json(tmp_path, "x.json", jsonio.matrix_to_json(X))
-        fact = CpsdFactorization(
-            d=4, factors=tuple(HermMatrix(f.astype(complex)) for f in factors))
+        fact = CpsdFactorization(d=4, factors=factors)
         fpath = write_json(tmp_path, "f.json", jsonio.factorization_to_json(fact))
         code, out, _ = run_cli(capsys, "bound", mpath, "--verify", fpath)
         assert code == 0
@@ -272,8 +271,7 @@ class TestBound:
     def test_wrong_factorization_fails_verification(self, capsys, tmp_path):
         X, factors = five_factor_example()
         mpath = write_json(tmp_path, "x.json", jsonio.matrix_to_json(2 * X))
-        fact = CpsdFactorization(
-            d=4, factors=tuple(HermMatrix(f.astype(complex)) for f in factors))
+        fact = CpsdFactorization(d=4, factors=factors)
         fpath = write_json(tmp_path, "f.json", jsonio.factorization_to_json(fact))
         code, _, err = run_cli(capsys, "bound", mpath, "--verify", fpath)
         assert code == 4
@@ -323,8 +321,7 @@ class TestToleranceGate:
     def test_bound(self, capsys, tmp_path, tol):
         X, factors = five_factor_example()
         mpath = write_json(tmp_path, "x.json", jsonio.matrix_to_json(X))
-        fact = CpsdFactorization(
-            d=4, factors=tuple(HermMatrix(f.astype(complex)) for f in factors))
+        fact = CpsdFactorization(d=4, factors=factors)
         fpath = write_json(tmp_path, "f.json", jsonio.factorization_to_json(fact))
         self.assert_refused(capsys, "bound", mpath, "--verify", fpath, f"--tol={tol}")
 
@@ -333,6 +330,21 @@ class TestToleranceGate:
         C, _ = exponential_family(2)
         path = write_json(tmp_path, "c.json", jsonio.matrix_to_json(C.entries))
         self.assert_refused(capsys, "behavior", path, "--simulate", f"--tol={tol}")
+
+    @pytest.mark.parametrize("tol", ["-inf", "-nan", "-1", "-1e-300"])
+    def test_space_separated_negative_value(self, capsys, tmp_path, tol):
+        # argparse reads "-inf" and "-nan" as options unless they are attached
+        _, out, _ = run_cli(capsys, "generate", "cycle-sep", "--n", "6")
+        path = write_json(tmp_path, "v.json", json.loads(out)["payload"]["vectors"])
+        spaced = run_cli(capsys, "factorize", path, "--tol", tol)
+        assert spaced == run_cli(capsys, "factorize", path, f"--tol={tol}")
+        self.assert_refused(capsys, "factorize", path, "--tol", tol)
+
+    def test_a_non_number_after_tol_is_still_a_usage_error(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "generate", "cycle-sep", "--n", "6")
+        path = write_json(tmp_path, "v.json", json.loads(out)["payload"]["vectors"])
+        code, out, err = run_cli(capsys, "factorize", path, "--tol", "-x")
+        assert code == 2 and out == "" and "usage:" in err
 
     def test_zero_accepted(self, capsys, tmp_path):
         path = write_json(tmp_path, "c.json", jsonio.matrix_to_json(np.zeros((2, 2))))
@@ -479,6 +491,83 @@ class TestDeterminism:
         assert jsonio.dumps(json.loads(first)) + "\n" == first
 
 
+# sha256 of each golden command's stdout: any change to these bytes is a
+# format change and must be named as one. Exp-family n = 6 is left out: its
+# reduced tails come from an eigendecomposition whose last bits depend on the
+# BLAS thread count.
+GOLDEN_STDOUT_SHA256 = {
+    "factorize exp-family n=1": "c62a356c78b780a2258b40a39bf1c1545a53b1f3e7487ed207789b9550779589",
+    "factorize exp-family n=2": "7a5d1c522c38c093d7b8f574512603478819466b59ad4637517b1eb22ae05c1d",
+    "factorize exp-family n=3": "a8b4bea9aec52d71974594b5bde71a07590b3373bda506b894d6f2e08b11fce2",
+    "factorize exp-family n=4": "34518154fce8ba81ccad6ab1d73faeb874d59e211e85635e63939a0b54c38173",
+    "factorize exp-family n=5": "89e4482ab9dfeb9f64efaf084c178008a510dd27d77a91d8b895458d543638c7",
+    "factorize cycle-sep n=6": "b200ef15a04bee10531967db53c5aef627a528a0eac7a15aa1bfd3714e341595",
+    "factorize dnn 2x2": "ee75e8d3fc67975aa4a48fdf144fd8116dc6843cca99ad8941f32fc9a1217075",
+    "generate exp-family n=3": "6026458b5b417d9764ee367c4335858f262df11148b078f3f1a3a4680c5c9f38",
+    "generate eij-gram r=4": "85ca2903bb632f2a47e2ee7cff0300665c207a747baad12cabae3350d2998090",
+    "generate cycle-sep n=10": "676c10b8fa138088ad2c1a6fdae46d80f0c25001b2e3cc91db13282898b4b9af",
+    "bound --verify --scale-search exp-family n=3":
+        "4b3c1f326292cee6e8912cec1edb4ea208783e0df0024c1b4121d00b637f051e",
+    "bound --graph": "6433ee4741c299a23cd1c963b3f7ba44e20d7aae6489e9cfd12051ec723d6004",
+    # products of a zero and a negative coordinate are written as 0.0
+    "bound --graph star": "48c1b69e05a7d16ff38aea29b908230c6779c299f2934735b5d979d99535e062",
+    # the reduced family is (-0.0,), (1.0,): the 1 x 1 factor [-0.0] is written as 0.0
+    "factorize axis family": "581e49ff0477526d2a531906eb3eb154c3973f39e1c433d59cfdce4a3435f1e4",
+    "behavior --simulate --validate exp-family n=3":
+        "0de724fcc2398f4c7ab7371e297d0752e1532f4892d9046a5cc7e5838c974154",
+}
+
+
+def golden_argv(case, capsys, tmp_path) -> list:
+    """The command line of a golden case, with its input files written."""
+    def payload(*argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        return json.loads(out)["payload"]
+
+    def write(name, obj):
+        return write_json(tmp_path, name, obj)
+
+    def exp_family(n):
+        return payload("generate", "exp-family", "--n", str(n))
+
+    if case.startswith("factorize exp-family"):
+        vectors = exp_family(int(case.rsplit("=", 1)[1]))["lorentz_vectors"]
+        return ["factorize", write("v.json", vectors)]
+    if case == "factorize cycle-sep n=6":
+        vectors = payload("generate", "cycle-sep", "--n", "6")["vectors"]
+        return ["factorize", write("v.json", vectors)]
+    if case == "factorize dnn 2x2":
+        matrix = {"n": 2, "complex": False, "entries": [2.0, 1.0, 1.0, 3.0]}
+        return ["factorize", write("m.json", matrix)]
+    if case.startswith("generate"):
+        _, kind, arg = case.split(" ")
+        flag, value = arg.split("=")
+        return ["generate", kind, f"--{flag}", value]
+    if case.startswith("bound --verify"):
+        p = payload("factorize", write("v.json", exp_family(3)["lorentz_vectors"]))
+        return ["bound", write("x.json", p["gram"]), "--verify",
+                write("f.json", p["factorization"]), "--scale-search"]
+    if case == "bound --graph star":
+        star = {"n": 5, "edges": [[0, k] for k in range(1, 5)]}
+        return ["bound", write("g.json", star), "--graph"]
+    if case == "factorize axis family":
+        axes = {"m": 2, "vectors": [[-0.0, 0.0], [1.0, -0.0]]}
+        return ["factorize", write("v.json", axes)]
+    if case == "bound --graph":
+        edges = [[i, (i + 1) % 7] for i in range(7)] + [[0, 3], [2, 5]]
+        return ["bound", write("g.json", {"n": 7, "edges": edges}), "--graph"]
+    correlation = exp_family(3)["correlation"]
+    return ["behavior", write("c.json", correlation), "--simulate", "--validate"]
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_STDOUT_SHA256))
+def test_stdout_matches_its_recorded_digest(capsys, tmp_path, case):
+    code, out, err = run_cli(capsys, *golden_argv(case, capsys, tmp_path))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[case]
+
+
 def run_fresh(argv):
     """The same command in a new `python -m cpsdlab.cli` process."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -491,11 +580,9 @@ def run_fresh(argv):
 def inputs(tmp_path):
     """Input files for one command of each exit code."""
     X, factors = five_factor_example()
-    exact = CpsdFactorization(
-        d=4, factors=tuple(HermMatrix(f.astype(complex)) for f in factors))
+    exact = CpsdFactorization(d=4, factors=factors)
     # factors off by a relative 1e-6: verified at --tol 1e-3, refused at the default
-    near = CpsdFactorization(d=4, factors=tuple(
-        HermMatrix((1 + 1e-6) * f.astype(complex)) for f in factors))
+    near = CpsdFactorization(d=4, factors=[(1 + 1e-6) * f for f in factors])
     # the 60 tails (1, e_i): refused by the byte budget before any allocation
     tails = np.hstack([np.ones((60, 1)), np.eye(60)]).tolist()
     return {

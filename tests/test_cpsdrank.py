@@ -6,7 +6,12 @@ import pytest
 from conftest import (five_factor_example, make_rng, no_psd_root_example, pairing_tol, random_dnn,
                       random_psd)
 from cpsdlab import cpsdrank
+from cpsdlab.bell import (behavior_matrix_factorization, exponential_family,
+                          exponential_family_vectors)
+from cpsdlab.clifford import gamma
+from cpsdlab.lorentz import gl_to_cpsd
 from cpsdlab.cpsdrank import (
+    _psd_certified,
     compress,
     conjugate,
     BoundReport,
@@ -25,15 +30,14 @@ from cpsdlab.cpsdrank import (
     verify_factorization,
 )
 from cpsdlab.errors import CapExceeded
-from cpsdlab.matcore import HermMatrix, spectral, trace_inner
+from cpsdlab.matcore import PSD_TOL, HermMatrix, spectral, trace_inner
 from cpsdlab.separations import Graph, support_bound_witness
 
 S2 = math.sqrt(2.0)
 
 
 def herm_fact(mats):
-    mats = [HermMatrix(np.asarray(m, dtype=complex)) for m in mats]
-    return CpsdFactorization(d=mats[0].n, factors=tuple(mats))
+    return CpsdFactorization(d=len(mats[0]), factors=mats)
 
 
 @pytest.fixture
@@ -55,11 +59,9 @@ class TestVerify:
 
     def test_sign_flip_breaks_verification(self, known_example):
         X, fact = known_example
-        broken = fact.factors[3].entries.copy()
-        broken[0, 3] = -broken[0, 3]
-        broken[3, 0] = -broken[3, 0]
-        mats = list(f.entries for f in fact.factors)
-        mats[3] = broken
+        mats = fact.factors.copy()
+        mats[3, 0, 3] = -mats[3, 0, 3]
+        mats[3, 3, 0] = -mats[3, 3, 0]
         report = verify_factorization(X, herm_fact(mats), tol=1e-10)
         assert not report.ok and report.max_residual > 1e-2
 
@@ -93,7 +95,7 @@ class TestGram:
     def test_matches_einsum_reference(self, complex_entries, d):
         rng = make_rng(d)
         fact = herm_fact([random_psd(rng, d, complex_entries) for _ in range(7)])
-        F = np.stack([p.entries for p in fact.factors])
+        F = fact.factors
         want = np.einsum("auv,bvu->ab", F, F).real
         got = fact.gram()
         for i, j in np.ndindex(want.shape):
@@ -169,9 +171,9 @@ class TestRankBound:
     def test_pair_perturbation_gram_full_rank(self):
         r = 3
         eye = np.eye(r)
-        mats = [HermMatrix(eye + np.outer(eye[i], eye[j]) + np.outer(eye[j], eye[i]))
+        mats = [eye + np.outer(eye[i], eye[j]) + np.outer(eye[j], eye[i])
                 for i in range(r) for j in range(i + 1, r)]
-        X = CpsdFactorization(d=r, factors=tuple(mats)).gram()
+        X = CpsdFactorization(d=r, factors=mats).gram()
         assert spectral(X).rank == 3
         assert rank_lower_bound(X) == pytest.approx(math.sqrt(3))
 
@@ -209,8 +211,7 @@ class TestCombinators:
         d2 = np.array([1.0, 4, 1, 1, 0.5])
         a = scale(scale(fact, d1), d2)
         b = scale(fact, d1 * d2)
-        for p, q in zip(a.factors, b.factors):
-            assert np.abs(p.entries - q.entries).max() < 1e-12
+        assert np.abs(a.factors - b.factors).max() < 1e-12
 
     def test_scale_rejects_nonpositive(self, known_example):
         _, fact = known_example
@@ -220,8 +221,7 @@ class TestCombinators:
     def test_permute_identity(self, known_example):
         X, fact = known_example
         out = permute(fact, range(5))
-        for p, q in zip(out.factors, fact.factors):
-            assert np.abs(p.entries - q.entries).max() == 0.0
+        assert np.array_equal(out.factors, fact.factors)
 
     def test_add_zero_factorization_pads(self, known_example):
         X, fact = known_example
@@ -241,8 +241,7 @@ class TestCombinators:
         perm = [3, 0, 4, 1, 2]
         inv = np.argsort(perm)
         back = permute(permute(fact, perm), inv)
-        for p, q in zip(back.factors, fact.factors):
-            assert np.abs(p.entries - q.entries).max() == 0.0
+        assert np.array_equal(back.factors, fact.factors)
 
     def test_permute_rejects_invalid(self, known_example):
         _, fact = known_example
@@ -398,7 +397,7 @@ class TestSupportWitness:
         fact, _ = support_bound_witness(G)
         for u in range(n):
             for v in range(u + 1, n):
-                ip = trace_inner(fact.factors[u], fact.factors[v])
+                ip = trace_inner(HermMatrix(fact.factors[u]), HermMatrix(fact.factors[v]))
                 if G.has_edge(u, v):
                     assert ip > 1e-8
                 else:
@@ -422,3 +421,119 @@ class TestBoundReport:
         assert ceil_snapped(2.0000000000000004) == 2
         assert ceil_snapped(2.25) == 3
         assert ceil_snapped(math.sqrt(2) ** 2) == 2
+
+
+def clifford_factor(lam_min: float, norm: float, k: int = 6) -> np.ndarray:
+    """(c I + gamma(x)) / sqrt(d) with |x| = norm and c chosen so that the
+    least eigenvalue (c - |x|) / sqrt(d) is lam_min."""
+    x = make_rng(k).standard_normal(k)
+    x *= norm / np.linalg.norm(x)
+    g = gamma(x).entries
+    d = len(g)
+    return (lam_min * math.sqrt(d) + norm) * np.eye(d) / math.sqrt(d) + g / math.sqrt(d)
+
+
+class TestPsdCertificate:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("margin", [1 - 1e-3, 1 + 1e-3])
+    @pytest.mark.parametrize("norm", [0.3, 40.0])
+    def test_verdict_at_the_cut_is_spectral(self, sign, margin, norm):
+        # the cut is PSD_TOL max(1, lambda_max); lambda_max is about 2|x|/sqrt(d)
+        P = clifford_factor(0.0, norm)
+        scale = max(1.0, spectral(P).max)
+        P = clifford_factor(sign * margin * PSD_TOL * scale, norm)
+        want = spectral(P).is_psd
+        assert want == (sign > 0 or margin < 1)
+        certified = bool(_psd_certified(P[None])[0])
+        assert certified <= want
+        if want:
+            assert certified  # the bounds are tight enough to decide here
+            CpsdFactorization(d=len(P), factors=[P])
+        else:
+            with pytest.raises(ValueError, match="factor 0 is not positive semidefinite"):
+                CpsdFactorization(d=len(P), factors=[P])
+
+    def test_scalar_and_generic_factors_go_to_the_eigenvalues(self):
+        rng = make_rng(7)
+        # the last one is well inside the cone, but not a scaled involution
+        stack = [3.0 * np.eye(4), np.zeros((4, 4)), random_psd(rng, 4), random_psd(rng, 4, False),
+                 np.eye(4) + 0.05 * random_psd(rng, 4)]
+        assert not _psd_certified(np.array(stack, dtype=complex)).any()
+        assert CpsdFactorization(d=4, factors=stack).n == 5
+        stack[3] = stack[3] - 2e-6 * np.eye(4) - np.linalg.eigvalsh(stack[3])[0] * np.eye(4)
+        with pytest.raises(ValueError, match="^factor 3 is not positive semidefinite$"):
+            CpsdFactorization(d=4, factors=stack)
+
+    @pytest.mark.parametrize("push", [0.5, 1.5])
+    def test_one_eigenvalue_pushed_across_the_cut(self, push):
+        # a rank-one dent of a boundary factor: still nearly an involution
+        # (r is about 2 s delta), but only the r term in the bound sees that
+        # lambda_min moved by the whole dent
+        P = clifford_factor(0.0, 1.0)
+        w, Q = np.linalg.eigh(P)
+        delta = push * PSD_TOL * max(1.0, w[-1])
+        P = P - delta * np.outer(Q[:, 0], Q[:, 0].conj())
+        want = spectral(P).is_psd
+        assert want == (push < 1)
+        assert bool(_psd_certified(P[None])[0]) <= want
+        if not want:
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                CpsdFactorization(d=len(P), factors=[P])
+
+    def test_embedded_cone_vectors_need_no_eigenvalues(self, monkeypatch):
+        fam = behavior_matrix_factorization(exponential_family(4)[0],
+                                            U=exponential_family_vectors(4))
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        fact = gl_to_cpsd(fam)
+        assert fact.n == 72 and fact.d == 16
+
+    def test_first_failing_factor_is_named(self):
+        good = clifford_factor(0.5, 1.0)
+        bad = clifford_factor(-1e-3, 1.0)
+        with pytest.raises(ValueError, match="^factor 2 is not positive semidefinite$"):
+            CpsdFactorization(d=8, factors=[good, good, bad, good, bad])
+
+    def test_non_hermitian_factor_refused_with_its_asymmetry(self):
+        a = clifford_factor(0.5, 1.0)
+        b, c = a.copy(), a.copy()
+        b[0, 1] += 1e-6
+        c[0, 1] += 1e-3
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian: asymmetry "
+                                             r"1\.000e-06 > 1e-12$"):
+            CpsdFactorization(d=8, factors=[a, b, c])
+
+    def test_round_off_asymmetry_is_symmetrized(self):
+        a = clifford_factor(0.5, 1.0)
+        a[0, 1] += 1e-14
+        fact = CpsdFactorization(d=8, factors=[a])
+        assert np.array_equal(fact.factors[0], fact.factors[0].conj().T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factor_refused(self, bad):
+        a = clifford_factor(0.5, 1.0)
+        a[3, 3] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            CpsdFactorization(d=8, factors=[clifford_factor(0.5, 1.0), a])
+
+    def test_size_mismatch_names_the_factor(self):
+        with pytest.raises(ValueError, match="^factor 1 has size 3, expected 2$"):
+            CpsdFactorization(d=2, factors=[np.eye(2), np.eye(3)])
+        with pytest.raises(ValueError, match="^factor 0 has size 2, expected 3$"):
+            CpsdFactorization(d=3, factors=np.zeros((4, 2, 2)))
+        with pytest.raises(ValueError, match="square"):
+            CpsdFactorization(d=2, factors=[np.ones((2, 3))])
+
+    def test_stack_is_read_only_and_owns_its_memory(self):
+        S = np.array([np.eye(3), np.diag([1.0, 2.0, 0.0])], dtype=complex)
+        fact = CpsdFactorization(d=3, factors=S)
+        F = fact.factors
+        assert F.shape == (2, 3, 3) and F.dtype == complex
+        assert not F.flags.writeable and F.flags.owndata and F.flags.c_contiguous
+        S[0, 0, 0] = -5.0
+        assert F[0, 0, 0] == 1.0
+        with pytest.raises(ValueError):
+            F[0, 0, 0] = 2.0
+        # a read-only view of another array's memory is copied as well
+        base = S.copy()
+        base.setflags(write=False)
+        assert CpsdFactorization(d=3, factors=base[1:]).factors.flags.owndata

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_rng
-from cpsdlab import lorentz
 from cpsdlab.bell import behavior_matrix, exponential_family_vectors
+from cpsdlab.clifford import gamma
 from cpsdlab.cpsdrank import verify_factorization
 from cpsdlab.errors import CapExceeded
 from cpsdlab.lorentz import (
@@ -19,8 +20,9 @@ from cpsdlab.lorentz import (
     gl_to_cpsd,
     in_cone,
     lorentz_embed,
+    lorentz_embeds,
 )
-from cpsdlab.matcore import spectral, trace_inner
+from cpsdlab.matcore import HermMatrix, spectral, trace_inner
 
 
 def vec(c, *x):
@@ -107,6 +109,27 @@ class TestEmbed:
         # m = 61 needs one 2^30 x 2^30 factor: refused from the estimate
         with pytest.raises(CapExceeded, match="budget"):
             lorentz_embed(vec(1.0, *np.zeros(60)))
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_stack_is_the_per_row_formula_bit_for_bit(self, m):
+        rng = make_rng(200 + m)
+        V = rng.standard_normal((7, m)) * 10.0 ** rng.uniform(-3, 3, (7, 1))
+        V[:, 0] = np.linalg.norm(V[:, 1:], axis=1) + rng.uniform(0, 1, 7)
+        V[1, 1:] = -0.0
+        V[2, 0] = -0.0 if m == 1 else V[2, 0]
+        S = lorentz_embeds(V)
+        assert S.shape[0] == 7 and S.dtype == complex
+        for v, got in zip(V, S):
+            c, tail = v[0], v[1:]
+            if m == 1:
+                want = HermMatrix(np.array([[c]], dtype=complex)).entries
+            else:
+                if m == 2:
+                    tail = np.array([tail[0], 0.0])
+                g = gamma(tail).entries
+                want = HermMatrix((c * np.eye(len(g)) + g) / np.sqrt(len(g))).entries
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(lorentz_embed(v).entries.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_isometry(self, m):
@@ -236,18 +259,20 @@ class TestGlToCpsd:
                 assert verify_factorization(X, fact).ok
                 assert fact.d <= 2 ** ((spectral(X).rank + 1) // 2)
 
-    def test_budget_checked_for_the_whole_family_before_embedding(self, monkeypatch):
+    def test_budget_checked_for_the_whole_family_before_embedding(self):
         # exp-family n = 9: each 512 x 512 factor fits the budget, the 342 of
         # them (1.34 GiB) do not, and none may be built before the refusal
         W = exponential_family_vectors(9)
         fam = signed_halves(W)
 
-        def refuse(v):
-            raise AssertionError("embedded a factor before checking the budget")
-
-        monkeypatch.setattr(lorentz, "lorentz_embed", refuse)
-        with pytest.raises(CapExceeded, match="342 dense 512 x 512"):
-            gl_to_cpsd(fam)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="342 dense 512 x 512"):
+                gl_to_cpsd(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_zero_family_collapses_to_trivial_factors(self):
         fam = GramLorentzFactorization([vec(0, 0, 0), vec(1, 0, 0)])

@@ -63,14 +63,14 @@ class TestMatcoreRejections:
 class TestCpsdrankRejections:
     def test_factor_size_positive(self):
         with pytest.raises(ValueError, match="at least 1"):
-            CpsdFactorization(d=0, factors=(HermMatrix(np.eye(1)),))
+            CpsdFactorization(d=0, factors=[np.eye(1)])
 
     def test_factor_size_mismatch(self):
         with pytest.raises(ValueError, match="expected"):
-            CpsdFactorization(d=3, factors=(HermMatrix(np.eye(2)),))
+            CpsdFactorization(d=3, factors=[np.eye(2)])
 
     def test_verify_non_square_target(self):
-        fact = CpsdFactorization(d=1, factors=(HermMatrix(np.eye(1)),))
+        fact = CpsdFactorization(d=1, factors=[np.eye(1)])
         with pytest.raises(ValueError, match="square"):
             verify_factorization(np.zeros((1, 2)), fact)
 
